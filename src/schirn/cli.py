@@ -438,6 +438,7 @@ def cmd_fit(args) -> int:
             "primal_residual_trace": model.report.primal_residual_trace,
             "iterations_run": model.report.iterations_run,
             "final_rank_xw": model.report.final_rank_XW,
+            "first_noise_iter": model.report.first_noise_iter,
             "dataset": describe(ds),
             "params": _params_dict(cfg.params),
         },

@@ -2,7 +2,7 @@
 
 All kernels validate their inputs on entry (finite, correctly shaped) and
 raise instead of propagating NaN/Inf. Factorizations are thin wrappers over
-LAPACK via numpy/scipy; the contracts they must satisfy (reconstruction and
+LAPACK via numpy; the contracts they must satisfy (reconstruction and
 residual bounds, rank tolerance) are pinned by the test suite.
 """
 
@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "NumericalError",
@@ -21,7 +20,6 @@ __all__ = [
     "svd",
     "sym_eig",
     "shrink",
-    "solve_spd",
     "numerical_rank",
     "norms",
 ]
@@ -30,7 +28,7 @@ _EPS = np.finfo(np.float64).eps
 
 
 class NumericalError(RuntimeError):
-    """A factorization failed (SVD non-convergence, non-SPD solve)."""
+    """A factorization failed (SVD or eigendecomposition non-convergence)."""
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -114,24 +112,6 @@ def shrink(a, eps):
     if np.ndim(a) == 0:
         return float(out)
     return out
-
-
-def solve_spd(a, b) -> np.ndarray:
-    """Solve A X = B for symmetric positive definite A via Cholesky.
-
-    Raises NumericalError when the factorization fails (A not SPD).
-    """
-    A = as_matrix(a, "A")
-    B = as_matrix(b, "B")
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"solve_spd requires square A, got {A.shape}")
-    if A.shape[0] != B.shape[0]:
-        raise ValueError(f"incompatible shapes A {A.shape}, B {B.shape}")
-    try:
-        factor = scipy.linalg.cho_factor(A, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("Cholesky factorization failed; matrix is not SPD") from exc
-    return scipy.linalg.cho_solve(factor, B)
 
 
 def numerical_rank(a) -> int:

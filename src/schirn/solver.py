@@ -17,11 +17,18 @@ W -> N -> C -> multiplier -> penalty:
     N step   N_ij = 1  iff  Y_ij = 1 and (Y - C)_ij > alpha/2
              (one exact proximal-gradient step with Lipschitz constant 2:
              soft-threshold by alpha/2, sign-threshold to {0,1}, clip to <= Y)
-    C step   G = (2Y - 2N + Lam + mu XW) / (2 + mu); SVD G = U diag(s) V^T;
+    C step   G = (2Y - 2N + Lam + mu XW) / (2 + mu); with G = U diag(s) V^T,
              high-rank: s + shift, low-rank: max(0, s - shift), shift from
              the configured convention ("paper": 2*beta/(2+mu),
-             "derived": beta/(2+mu) from the stationarity condition)
+             "derived": beta/(2+mu) from the stationarity condition).
+             s and V come from an eigendecomposition of the small Gram
+             matrix G^T G (G G^T when l > n), never from an n x l SVD.
     Lam step Lam += mu (XW - C), then mu = min(mu_max, rho * mu)
+
+Each iteration forms XW = X W once, right after the W step, and hands it to
+the C step, the multiplier step, the residual and the objective. The
+objective's nuclear norm ||XW||_* is taken from the singular values of R W,
+where X = QR is a reduced QR factorization computed once per fit.
 
 Ablation variants: "high-rank" is the full method; "no-rank" drops the
 nuclear term (C = G); "no-sparsity" keeps the high-rank term but freezes
@@ -35,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import as_matrix, norms, numerical_rank, shrink, svd, sym_eig
+from .linalg import _EPS, as_matrix, numerical_rank, shrink, sym_eig
 
 __all__ = [
     "Variant",
@@ -126,12 +133,18 @@ class SolverState:
 
 @dataclass
 class FitReport:
-    """Per-iteration traces plus the final prediction-matrix rank."""
+    """Per-iteration traces plus the final prediction-matrix rank.
+
+    first_noise_iter is the 1-based iteration whose N step first produced a
+    non-zero entry, or None if N stayed zero throughout (always the case
+    for the no-sparsity variant).
+    """
 
     objective_trace: list[float] = field(default_factory=list)
     primal_residual_trace: list[float] = field(default_factory=list)
     iterations_run: int = 0
     final_rank_XW: int = 0
+    first_noise_iter: int | None = None
 
 
 @dataclass
@@ -204,44 +217,96 @@ def update_n(state: SolverState, Y: np.ndarray, params: SchirnParams) -> np.ndar
     return np.minimum((surviving > 0).astype(np.float64), Y)
 
 
-def update_c(state: SolverState, X: np.ndarray, Y: np.ndarray, params: SchirnParams) -> np.ndarray:
+def update_c(state: SolverState, X: np.ndarray, Y: np.ndarray, params: SchirnParams, XW=None) -> np.ndarray:
     """Singular-value shift update of the relaxed prediction matrix.
 
     The quadratic part pulls C toward G = (2Y - 2N + Lam + mu XW) / (2 + mu);
-    the rank term inflates (high-rank) or shrinks (low-rank) G's spectrum.
+    the rank term inflates (high-rank) or shrinks (low-rank) G's spectrum:
+    C = U diag(f(s)) V^T with f(s) = s + shift or max(0, s - shift), where
+    G = U diag(s) V^T. ``XW`` is an optional precomputed X @ state.W.
+
+    The spectrum comes from the l x l Gram matrix G^T G = V diag(s^2) V^T
+    (the n x n G G^T when l > n), so no n x l SVD is formed:
+    C = G V diag(f(s)/s) V^T, or U diag(f(s)/s) U^T G on the G G^T route.
+    Squaring G costs accuracy in its small singular values: the relative
+    error of sigma is about eps * sigma_max^2 / sigma^2, against eps for an
+    SVD of G itself (the Gram-versus-QR trade-off analysed by Halko,
+    Martinsson and Tropp, "Finding structure with randomness", SIAM Review
+    2011). Gram eigenvalues at or below max(n, l) * eps * lambda_max are
+    therefore rounding noise and count as null directions of G.
+
+    Null directions get no shift: they are treated as exact zeros of G and
+    stay zero in C, so C is the shift applied to G with those directions
+    removed (a pseudo-inverse rule, deterministic because it does not
+    depend on which basis spans the null space; G = 0 gives C = 0). For
+    low-rank this is the exact minimiser of 0.5 ||C - G||_F^2 +
+    shift ||C||_* (singular-value thresholding zeroes those directions
+    anyway). For high-rank and full-rank G it is the exact minimiser of
+    0.5 ||C - G||_F^2 - shift ||C||_*; on rank-deficient G that minimiser
+    is not unique (it shifts the zero singular values too, along any
+    orthonormal completion), and the rule returns a stationary point whose
+    value is higher by shift^2 / 2 per null direction.
+
+    NaN or Inf in G raises ValueError, detected on the small Gram matrix.
+    So do entries of G beyond about 1e154, which overflow the Gram matrix;
+    the solver's G, a weighted mean of labels, multipliers and predictions,
+    stays far below that.
     """
     mu = state.mu
-    G = (2.0 * Y - 2.0 * state.N + state.Lam + mu * (X @ state.W)) / (2.0 + mu)
+    if XW is None:
+        XW = X @ state.W
+    G = (2.0 * Y - 2.0 * state.N + state.Lam + mu * XW) / (2.0 + mu)
     shift = _c_shift_amount(params, mu)
     if params.variant is Variant.NO_RANK or shift == 0.0:
         return G
-    res = svd(G)
+    wide = G.shape[1] > G.shape[0]
+    eig = _gram_eig(G, dual=wide)
+    lam = eig.eigenvalues
+    keep = lam > max(G.shape) * _EPS * lam[-1]
+    s = np.sqrt(lam[keep])
     if params.variant is Variant.LOW_RANK:
-        s = np.maximum(0.0, res.singular_values - shift)
+        f = np.maximum(0.0, s - shift)
     else:
-        s = np.maximum(0.0, res.singular_values + shift)
-    return (res.U * s) @ res.V.T
+        f = s + shift
+    V = eig.Q[:, keep]
+    M = (V * (f / s)) @ V.T
+    return M @ G if wide else G @ M
 
 
-def update_lagrange(state: SolverState, X: np.ndarray, params: SchirnParams) -> tuple[np.ndarray, float]:
-    """Multiplier ascent with the pre-update mu, then the geometric mu step."""
-    new_lam = state.Lam + state.mu * (X @ state.W - state.C)
+def update_lagrange(state: SolverState, X: np.ndarray, params: SchirnParams, XW=None) -> tuple[np.ndarray, float]:
+    """Multiplier ascent with the pre-update mu, then the geometric mu step.
+
+    ``XW`` is an optional precomputed X @ state.W.
+    """
+    if XW is None:
+        XW = X @ state.W
+    new_lam = state.Lam + state.mu * (XW - state.C)
     new_mu = min(params.mu_max, params.rho * state.mu)
     return new_lam, new_mu
 
 
-def objective(state: SolverState, X: np.ndarray, Y: np.ndarray, params: SchirnParams) -> float:
+def objective(state: SolverState, X: np.ndarray, Y: np.ndarray, params: SchirnParams, XW=None, R=None) -> float:
     """Value of the un-augmented objective at the current state.
 
     The nuclear term enters with the variant's sign: negative (maximize) for
     high-rank and no-sparsity, positive for low-rank, absent for no-rank.
+    ``XW`` is an optional precomputed X @ state.W. ``R`` is the triangular
+    factor of a reduced QR factorization X = QR (computed here when not
+    given): Q has orthonormal columns, so ||XW||_* is the sum of the
+    singular values of the small R W (min(n, d) x l), with no squaring of
+    its condition number.
     """
-    XW = X @ state.W
+    if XW is None:
+        XW = X @ state.W
     fit_term = float(np.linalg.norm(XW - (Y - state.N), "fro") ** 2)
     sparsity_term = params.alpha * float(np.abs(state.N).sum())
     ridge_term = params.lam * float(np.linalg.norm(state.W, "fro") ** 2)
     sign = _nuclear_sign(params.variant)
-    rank_term = sign * params.beta * norms(XW).nuclear if sign != 0.0 else 0.0
+    rank_term = 0.0
+    if sign != 0.0:
+        if R is None:
+            R = np.linalg.qr(X, mode="r")
+        rank_term = sign * params.beta * float(np.linalg.svd(R @ state.W, compute_uv=False).sum())
     return fit_term + sparsity_term + rank_term + ridge_term
 
 
@@ -263,17 +328,20 @@ def fit(ds, params: SchirnParams) -> Model:
     state = _initial_state(n, d, l, params)
     dual = d > n  # factor the smaller Gram matrix
     eig = _gram_eig(X, dual)
+    R = np.linalg.qr(X, mode="r")
 
     report = FitReport()
     for _ in range(params.max_iter):
         state.W = update_w(state, X, params, eig=eig, dual=dual)
-        state.N = update_n(state, Y, params)
-        state.C = update_c(state, X, Y, params)
-        state.Lam, state.mu = update_lagrange(state, X, params)
-        state.iter += 1
-
         XW = X @ state.W
-        report.objective_trace.append(objective(state, X, Y, params))
+        state.N = update_n(state, Y, params)
+        state.C = update_c(state, X, Y, params, XW=XW)
+        state.Lam, state.mu = update_lagrange(state, X, params, XW=XW)
+        state.iter += 1
+        if report.first_noise_iter is None and state.N.any():
+            report.first_noise_iter = state.iter
+
+        report.objective_trace.append(objective(state, X, Y, params, XW=XW, R=R))
         residual = float(
             np.linalg.norm(XW - state.C, "fro") / max(1.0, np.linalg.norm(state.C, "fro"))
         )

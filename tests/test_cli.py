@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from schirn import SchirnParams, fit
 from schirn.cli import (
     DEFAULT_GRID_ALPHA,
     DEFAULT_GRID_BETA,
@@ -75,6 +76,18 @@ class TestFit:
         assert report["iterations_run"] == 20
         assert len(report["objective_trace"]) == 20
         assert len(report["primal_residual_trace"]) == 20
+
+    def test_report_records_first_noise_iter(self, synth_files, tmp_path):
+        paths, ds = synth_files
+        args = ["fit", "--features", str(paths["features"]), "--labels", str(paths["labels"]),
+                "--alpha", "1.0", "--beta", "0.05", "--lambda", "10"]
+        expected = fit(ds, SchirnParams(alpha=1.0, beta=0.05, lam=10.0)).report.first_noise_iter
+        assert isinstance(expected, int)
+        for variant, value in [("high-rank", expected), ("no-sparsity", None)]:
+            out = tmp_path / variant
+            assert main(args + ["--variant", variant, "--out", str(out)]) == 0
+            report = json.loads((out / "fit_report.json").read_text())
+            assert report["first_noise_iter"] == value
 
     def test_missing_features_exits_2(self, tmp_path, capsys):
         rc = main(["fit", "--features", str(tmp_path / "missing.txt"),

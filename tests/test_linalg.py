@@ -4,12 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from schirn.linalg import (
-    NumericalError,
     as_matrix,
     norms,
     numerical_rank,
     shrink,
-    solve_spd,
     svd,
     sym_eig,
 )
@@ -108,37 +106,6 @@ class TestShrink:
     @given(st.floats(-1e6, 1e6), st.floats(0, 1e6))
     def test_magnitude(self, a, eps):
         assert shrink(a, eps) == pytest.approx(np.sign(a) * max(0.0, abs(a) - eps))
-
-
-class TestSolveSpd:
-    def test_scaled_identity(self):
-        X = solve_spd(2.0 * np.eye(2), np.array([[4.0], [6.0]]))
-        assert np.allclose(X, [[2.0], [3.0]])
-
-    def test_identity_returns_rhs(self):
-        B = np.arange(6.0).reshape(3, 2) + 1
-        assert np.allclose(solve_spd(np.eye(3), B), B)
-
-    def test_diagonal(self):
-        X = solve_spd(np.diag([1.0, 4.0]), np.array([[1.0], [8.0]]))
-        assert np.allclose(X, [[1.0], [2.0]])
-
-    def test_residual_bound_on_random_spd(self):
-        rng = np.random.default_rng(1234)
-        for _ in range(1000):
-            d = rng.integers(1, 12)
-            k = rng.integers(1, 6)
-            M = rng.standard_normal((d, d))
-            A = M.T @ M + np.eye(d)
-            B = rng.standard_normal((d, k))
-            X = solve_spd(A, B)
-            lhs = np.linalg.norm(A @ X - B)
-            bound = 1e-8 * (np.linalg.norm(A) * np.linalg.norm(X) + np.linalg.norm(B))
-            assert lhs <= bound
-
-    def test_non_spd_raises_numerical_error(self):
-        with pytest.raises(NumericalError):
-            solve_spd(np.array([[1.0, 0.0], [0.0, -1.0]]), np.ones((2, 1)))
 
 
 class TestNumericalRank:

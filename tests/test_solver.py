@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schirn import Dataset, SchirnParams, Variant, fit, load_model, save_model
 from schirn.linalg import norms, numerical_rank, sym_eig
@@ -187,6 +189,20 @@ def state_with_target_g(G, mu, n, d, l):
     )
 
 
+RANKED = (Variant.HIGH_RANK, Variant.LOW_RANK, Variant.NO_SPARSITY)
+
+
+def c_step_on(G, variant, beta):
+    """update_c with pull matrix exactly G (mu = 0, so the shift is 2 beta / 2 = beta)."""
+    n, l = G.shape
+    state = state_with_target_g(G, mu=0.0, n=n, d=2, l=l)
+    return update_c(state, np.zeros((n, 2)), np.zeros((n, l)), default_params(beta=beta, variant=variant))
+
+
+def shifted(s, variant, shift):
+    return np.maximum(0.0, s - shift) if variant is Variant.LOW_RANK else s + shift
+
+
 class TestUpdateC:
     def test_diagonal_high_rank_shift(self):
         G = np.diag([1.0, 2.0])
@@ -274,6 +290,103 @@ class TestUpdateC:
                 delta *= 1e-3 / np.linalg.norm(delta)
                 assert best <= surrogate(C + delta) + 1e-12
 
+    def test_matches_thin_svd_form(self):
+        # the Gram-eigh C step against the thin-SVD closed form, both routes
+        rng = np.random.default_rng(15)
+        for n, l in [(30, 6), (6, 30), (9, 9)]:
+            G = rng.standard_normal((n, l))
+            U, s, Vt = np.linalg.svd(G, full_matrices=False)
+            for variant in (Variant.HIGH_RANK, Variant.LOW_RANK):
+                C = c_step_on(G, variant, 0.8)
+                assert np.linalg.norm(C - (U * shifted(s, variant, 0.8)) @ Vt) <= 1e-10 * np.linalg.norm(G)
+
+
+class TestUpdateCNullDirections:
+    """Rank-deficient G and the G G^T route (l > n): null directions are not shifted."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        l=st.integers(2, 8),
+        extra_rows=st.integers(2, 20),
+        variant=st.sampled_from(RANKED),
+        beta=st.floats(0.01, 1.0),
+    )
+    def test_duplicated_columns(self, seed, l, extra_rows, variant, beta):
+        rng = np.random.default_rng(seed)
+        n = l + extra_rows
+        base = rng.standard_normal((n, l - 1))
+        i, j = sorted(rng.choice(l, size=2, replace=False))
+        G = np.insert(base, j, base[:, i], axis=1)  # column j duplicates column i
+        C = c_step_on(G, variant, beta)
+        sG = np.linalg.svd(G, compute_uv=False)[: l - 1]
+        sC = np.linalg.svd(C, compute_uv=False)
+        tol = 1e-8 * max(1.0, sG[0])
+        assert np.all(np.isfinite(C))
+        assert np.all(np.abs(sC[: l - 1] - np.sort(shifted(sG, variant, beta))[::-1]) <= tol)
+        null = np.zeros(l)
+        null[i], null[j] = 1.0, -1.0
+        assert np.linalg.norm(C @ null) <= 1e-12 * max(1.0, sG[0])
+        assert np.array_equal(C, c_step_on(G, variant, beta))
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(1, 12), l=st.integers(1, 12), variant=st.sampled_from(list(Variant)),
+           beta=st.floats(0.0, 1.0))
+    def test_zero_pull_matrix(self, n, l, variant, beta):
+        C = c_step_on(np.zeros((n, l)), variant, beta)
+        assert np.array_equal(C, np.zeros((n, l)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 8),
+        extra_cols=st.integers(1, 20),
+        variant=st.sampled_from(RANKED),
+        beta=st.floats(0.01, 1.0),
+    )
+    def test_wide_route(self, seed, n, extra_cols, variant, beta):
+        rng = np.random.default_rng(seed)
+        G = rng.standard_normal((n, n + extra_cols))
+        C = c_step_on(G, variant, beta)
+        sG = np.linalg.svd(G, compute_uv=False)
+        sC = np.linalg.svd(C, compute_uv=False)
+        assert np.all(np.isfinite(C))
+        assert np.all(np.abs(sC - np.sort(shifted(sG, variant, beta))[::-1]) <= 1e-8 * max(1.0, sG[0]))
+        assert np.array_equal(C, c_step_on(G, variant, beta))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        l=st.integers(1, 12),
+        rank=st.integers(0, 12),
+        variant=st.sampled_from(list(Variant)),
+        beta=st.floats(0.0, 1.0),
+    )
+    def test_finite_and_repeatable(self, seed, n, l, rank, variant, beta):
+        rng = np.random.default_rng(seed)
+        r = min(rank, n, l)
+        G = rng.standard_normal((n, r)) @ rng.standard_normal((r, l))
+        C = c_step_on(G, variant, beta)
+        assert C.shape == (n, l)
+        assert np.all(np.isfinite(C))
+        assert np.array_equal(C, c_step_on(G, variant, beta))
+        if variant in RANKED:
+            # the rank-r part is shifted; the null directions stay zero to
+            # rounding (without the eigenvalue cutoff they reach ~1e-8)
+            sG = np.linalg.svd(G, compute_uv=False)
+            sC = np.linalg.svd(C, compute_uv=False)
+            scale = max(1.0, sG[0])
+            assert np.all(np.abs(sC[:r] - np.sort(shifted(sG[:r], variant, beta))[::-1]) <= 1e-8 * scale)
+            assert np.all(sC[r:] <= 1e-12 * scale)
+
+    def test_non_finite_pull_matrix_raises(self):
+        for bad in (np.nan, np.inf):
+            G = np.ones((4, 3))
+            G[2, 1] = bad
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                c_step_on(G, Variant.HIGH_RANK, 0.1)
+
 
 class TestUpdateLagrange:
     def test_multiplier_step_uses_pre_update_mu(self):
@@ -357,6 +470,19 @@ class TestFit:
         assert model.report.primal_residual_trace == []
         assert model.report.iterations_run == 0
         assert model.report.final_rank_XW == 0
+        assert model.report.first_noise_iter is None
+
+    def test_first_noise_iter_marks_first_nonzero_n(self):
+        ds, _ = make_synth(40, 6, 5, r=1, seed=0)
+        params = default_params()
+        first = fit(ds, params).report.first_noise_iter
+        assert 1 < first <= params.max_iter
+        before = fit(ds, default_params(max_iter=first - 1))
+        at = fit(ds, default_params(max_iter=first))
+        assert not before.noise.any() and before.report.first_noise_iter is None
+        assert at.noise.any() and at.report.first_noise_iter == first
+        frozen = fit(ds, default_params(variant=Variant.NO_SPARSITY))
+        assert frozen.report.first_noise_iter is None
 
     def test_trace_lengths_match_iterations(self):
         ds, _ = make_synth(30, 5, 4, r=1, seed=1)
@@ -414,6 +540,64 @@ class TestFit:
         bad.X = ds.X[:-1]  # bypass constructor check to exercise fit's own guard
         with pytest.raises(ValueError):
             fit(bad, default_params())
+
+
+def reference_fit(ds, params):
+    """The ALM loop in its first form: thin-SVD C step, X @ W recomputed at every use.
+
+    Returns (W, N, objective trace, residual trace).
+    """
+    X, Y = ds.X, ds.Y
+    n, d = X.shape
+    l = Y.shape[1]
+    dual = d > n
+    state = SolverState(W=np.zeros((d, l)), N=np.zeros((n, l)), C=np.ones((n, l)),
+                        Lam=np.ones((n, l)), mu=params.mu0)
+    sign = {Variant.HIGH_RANK: -1.0, Variant.NO_SPARSITY: -1.0,
+            Variant.LOW_RANK: 1.0, Variant.NO_RANK: 0.0}[params.variant]
+    objectives, residuals = [], []
+    for _ in range(params.max_iter):
+        state.W = update_w(state, X, params, dual=dual)
+        state.N = update_n(state, Y, params)
+        mu = state.mu
+        G = (2.0 * Y - 2.0 * state.N + state.Lam + mu * (X @ state.W)) / (2.0 + mu)
+        shift = (2.0 if params.c_shift == "paper" else 1.0) * params.beta / (2.0 + mu)
+        if params.variant is Variant.NO_RANK or shift == 0.0:
+            state.C = G
+        else:
+            U, s, Vt = np.linalg.svd(G, full_matrices=False)
+            s = np.maximum(0.0, s - shift if params.variant is Variant.LOW_RANK else s + shift)
+            state.C = (U * s) @ Vt
+        state.Lam = state.Lam + mu * (X @ state.W - state.C)
+        state.mu = min(params.mu_max, params.rho * mu)
+        objectives.append(
+            np.linalg.norm(X @ state.W - (Y - state.N)) ** 2
+            + params.alpha * np.abs(state.N).sum()
+            + sign * params.beta * np.linalg.svd(X @ state.W, compute_uv=False).sum()
+            + params.lam * np.linalg.norm(state.W) ** 2
+        )
+        residuals.append(np.linalg.norm(X @ state.W - state.C) / max(1.0, np.linalg.norm(state.C)))
+    return state.W, state.N, np.array(objectives), np.array(residuals)
+
+
+class TestFitMatchesReferenceLoop:
+    """fit (one X @ W per iteration, Gram-eigh C step, R W nuclear norm) against reference_fit."""
+
+    @pytest.mark.parametrize("shape", [(40, 6, 5), (20, 50, 5), (8, 4, 12)],
+                             ids=["d<n", "d>n", "l>n"])
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_same_iterates(self, shape, variant):
+        ds, _ = make_synth(*shape, r=1, seed=0)
+        params = default_params(alpha=0.5, beta=0.5, lam=10.0, variant=variant)
+        model = fit(ds, params)
+        W, N, objectives, residuals = reference_fit(ds, params)
+        if variant is not Variant.NO_SPARSITY:
+            assert N.any()  # noise enters, so equal N is a real check
+        assert np.array_equal(model.noise, N)
+        assert np.linalg.norm(model.W - W) <= 1e-10 * np.linalg.norm(W)
+        for trace, ref in [(model.report.objective_trace, objectives),
+                           (model.report.primal_residual_trace, residuals)]:
+            assert np.all(np.abs(np.array(trace) - ref) <= 1e-10 * np.abs(ref))
 
 
 class TestPredict:
