@@ -22,7 +22,7 @@ from .diagnostics import (
     rank_report,
     verify_rank_theorem,
 )
-from .linalg import NumericalError, numerical_rank, norms, shrink, svd, sym_eig
+from .linalg import NumericalError, numerical_rank, shrink, sym_eig
 from .metrics import (
     MetricReport,
     average_precision,

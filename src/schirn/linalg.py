@@ -7,28 +7,23 @@ residual bounds, rank tolerance) are pinned by the test suite.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "NumericalError",
-    "SvdResult",
     "EigResult",
-    "MatrixNorms",
     "as_matrix",
-    "svd",
     "sym_eig",
     "shrink",
     "numerical_rank",
-    "norms",
 ]
 
 _EPS = np.finfo(np.float64).eps
 
 
 class NumericalError(RuntimeError):
-    """A factorization failed (SVD or eigendecomposition non-convergence)."""
+    """A factorization failed (eigendecomposition non-convergence)."""
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -44,42 +39,11 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SvdResult:
-    """Thin SVD A = U diag(s) V^T with s non-increasing, U/V column-orthonormal."""
-
-    U: np.ndarray
-    singular_values: np.ndarray
-    V: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.U * self.singular_values) @ self.V.T
-
-
-@dataclass(frozen=True)
 class EigResult:
     """Symmetric eigendecomposition A = Q diag(w) Q^T with Q orthogonal."""
 
     Q: np.ndarray
     eigenvalues: np.ndarray
-
-
-class MatrixNorms(NamedTuple):
-    frobenius: float
-    l1: float
-    nuclear: float
-
-
-def svd(a) -> SvdResult:
-    """Thin singular value decomposition.
-
-    Raises NumericalError if the underlying iteration fails to converge.
-    """
-    A = as_matrix(a)
-    try:
-        U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD did not converge for {A.shape} input") from exc
-    return SvdResult(U=U, singular_values=s, V=Vt.T)
 
 
 def sym_eig(a) -> EigResult:
@@ -121,13 +85,3 @@ def numerical_rank(a) -> int:
     tol = max(A.shape) * _EPS * s[0]
     return int(np.count_nonzero(s > tol))
 
-
-def norms(a) -> MatrixNorms:
-    """Frobenius, elementwise l1, and nuclear (sum of singular values) norms."""
-    A = as_matrix(a)
-    s = np.linalg.svd(A, compute_uv=False)
-    return MatrixNorms(
-        frobenius=float(np.linalg.norm(A, "fro")),
-        l1=float(np.abs(A).sum()),
-        nuclear=float(s.sum()),
-    )

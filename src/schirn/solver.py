@@ -37,12 +37,12 @@ shrunk instead of inflated.
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .linalg import _EPS, as_matrix, numerical_rank, shrink, sym_eig
+from .linalg import _EPS, as_matrix, numerical_rank, sym_eig
 
 __all__ = [
     "Variant",
@@ -72,6 +72,11 @@ class Variant(str, enum.Enum):
     NO_SPARSITY = "no-sparsity"
 
 
+def _hyper(default, help, *, key=None, choices=None):
+    """A SchirnParams field with its CLI help, external key and allowed values."""
+    return field(default=default, metadata={"help": help, "key": key, "choices": choices})
+
+
 @dataclass(frozen=True)
 class SchirnParams:
     """Hyperparameters and penalty schedule.
@@ -80,19 +85,25 @@ class SchirnParams:
     term. The penalty mu starts at mu0 and grows by rho per iteration up to
     mu_max. tol = 0 disables early stopping (the default run is exactly
     max_iter iterations). threshold binarizes scores for label prediction.
+
+    The fields are the single statement of every hyperparameter: the CLI
+    flags and config keys, fit_report.json and the model.meta sidecar are
+    all derived from them. Each field's external key is its name, except
+    where the metadata gives one (lam is written "lambda"); see to_dict and
+    from_mapping.
     """
 
-    alpha: float
-    beta: float
-    lam: float
-    mu0: float = 1e-4
-    mu_max: float = 10.0
-    rho: float = 1.1
-    max_iter: int = 100
-    tol: float = 0.0
-    variant: Variant = Variant.HIGH_RANK
-    threshold: float = 0.5
-    c_shift: str = "paper"
+    alpha: float = _hyper(1.0, "noise-sparsity weight")
+    beta: float = _hyper(0.05, "rank-term weight")
+    lam: float = _hyper(10.0, "ridge weight", key="lambda")
+    mu0: float = _hyper(1e-4, "initial penalty")
+    mu_max: float = _hyper(10.0, "penalty cap")
+    rho: float = _hyper(1.1, "penalty growth factor")
+    max_iter: int = _hyper(100, "iteration cap")
+    tol: float = _hyper(0.0, "early-stop residual threshold (0 disables)")
+    variant: Variant = _hyper(Variant.HIGH_RANK, "solver variant", choices=tuple(v.value for v in Variant))
+    threshold: float = _hyper(0.5, "score binarization threshold")
+    c_shift: str = _hyper("paper", "singular-value shift convention", choices=C_SHIFT_CONVENTIONS)
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -117,6 +128,28 @@ class SchirnParams:
             object.__setattr__(self, "variant", Variant(self.variant))
         if self.c_shift not in C_SHIFT_CONVENTIONS:
             raise ValueError(f"c_shift must be one of {C_SHIFT_CONVENTIONS}, got {self.c_shift!r}")
+
+    def to_dict(self) -> dict:
+        """Field values by external key, in field order; the variant as its string value."""
+        return {_param_key(f): _plain(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_mapping(cls, values) -> "SchirnParams":
+        """Inverse of to_dict: every field is read from its external key
+        (KeyError if one is missing) and coerced to its default's type, so
+        the strings of a model.meta file work too; other keys are ignored.
+        The coercion assumes float, int, str or str-enum fields (bool("0")
+        would be True)."""
+        return cls(**{f.name: type(f.default)(values[_param_key(f)]) for f in fields(cls)})
+
+
+def _param_key(f) -> str:
+    """External key of a SchirnParams field: CLI flag stem, config, JSON and model.meta key."""
+    return f.metadata["key"] or f.name
+
+
+def _plain(value):
+    return value.value if isinstance(value, enum.Enum) else value
 
 
 @dataclass
@@ -209,12 +242,14 @@ def update_n(state: SolverState, Y: np.ndarray, params: SchirnParams) -> np.ndar
     """One exact proximal step for the noise matrix.
 
     Soft-threshold M = Y - C by alpha/2, map positive survivors to 1, then
-    clip to the candidate set. Under the no-sparsity variant N stays zero.
+    clip to the candidate set; computed as the single comparison
+    M > alpha/2 on the candidate entries. Under the no-sparsity variant N
+    stays zero.
     """
     if params.variant is Variant.NO_SPARSITY:
         return np.zeros_like(Y)
-    surviving = shrink(Y - state.C, params.alpha / 2.0)
-    return np.minimum((surviving > 0).astype(np.float64), Y)
+    # shrink(Y - C, alpha/2) > 0 exactly where Y - C > alpha/2; N <= Y keeps the candidates
+    return ((Y - state.C > params.alpha / 2.0) & (Y == 1.0)).astype(np.float64)
 
 
 def update_c(state: SolverState, X: np.ndarray, Y: np.ndarray, params: SchirnParams, XW=None) -> np.ndarray:
@@ -247,10 +282,11 @@ def update_c(state: SolverState, X: np.ndarray, Y: np.ndarray, params: SchirnPar
     orthonormal completion), and the rule returns a stationary point whose
     value is higher by shift^2 / 2 per null direction.
 
-    NaN or Inf in G raises ValueError, detected on the small Gram matrix.
-    So do entries of G beyond about 1e154, which overflow the Gram matrix;
-    the solver's G, a weighted mean of labels, multipliers and predictions,
-    stays far below that.
+    The Gram matrix is formed from G scaled by the power of two that brings
+    its largest entry into [0.5, 1), so it cannot overflow. A power-of-two
+    scaling is exact for every entry that stays in the normal range, so on
+    ordinary G the result is bit-for-bit that of the unscaled Gram. NaN or
+    Inf in G raises ValueError, detected on the small Gram matrix.
     """
     mu = state.mu
     if XW is None:
@@ -260,10 +296,11 @@ def update_c(state: SolverState, X: np.ndarray, Y: np.ndarray, params: SchirnPar
     if params.variant is Variant.NO_RANK or shift == 0.0:
         return G
     wide = G.shape[1] > G.shape[0]
-    eig = _gram_eig(G, dual=wide)
+    _, k = np.frexp(max(G.max(), -G.min()))
+    eig = _gram_eig(np.ldexp(G, -k), dual=wide)
     lam = eig.eigenvalues
     keep = lam > max(G.shape) * _EPS * lam[-1]
-    s = np.sqrt(lam[keep])
+    s = np.ldexp(np.sqrt(lam[keep]), k)
     if params.variant is Variant.LOW_RANK:
         f = np.maximum(0.0, s - shift)
     else:
@@ -369,9 +406,6 @@ def predict_labels(model: Model, X_test) -> np.ndarray:
     return (predict_scores(model, X_test) > model.params.threshold).astype(np.float64)
 
 
-_META_FLOAT_KEYS = ("alpha", "beta", "lambda", "mu0", "mu_max", "rho", "tol", "threshold")
-
-
 def save_model(model: Model, out_dir) -> None:
     """Persist W in the matrix text format plus a key=value metadata sidecar."""
     from .data import save_matrix
@@ -379,19 +413,8 @@ def save_model(model: Model, out_dir) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_matrix(out_dir / "weights.txt", model.W)
-    p = model.params
     values = {
-        "alpha": p.alpha,
-        "beta": p.beta,
-        "lambda": p.lam,
-        "mu0": p.mu0,
-        "mu_max": p.mu_max,
-        "rho": p.rho,
-        "max_iter": p.max_iter,
-        "tol": p.tol,
-        "variant": p.variant.value,
-        "threshold": p.threshold,
-        "c_shift": p.c_shift,
+        **model.params.to_dict(),
         "iterations_run": model.report.iterations_run,
         "final_rank_xw": model.report.final_rank_XW,
     }
@@ -413,19 +436,7 @@ def load_model(model_dir) -> Model:
             if line and "=" in line:
                 key, _, value = line.partition("=")
                 meta[key] = value
-    params = SchirnParams(
-        alpha=float(meta["alpha"]),
-        beta=float(meta["beta"]),
-        lam=float(meta["lambda"]),
-        mu0=float(meta["mu0"]),
-        mu_max=float(meta["mu_max"]),
-        rho=float(meta["rho"]),
-        max_iter=int(meta["max_iter"]),
-        tol=float(meta["tol"]),
-        variant=Variant(meta["variant"]),
-        threshold=float(meta["threshold"]),
-        c_shift=meta["c_shift"],
-    )
+    params = SchirnParams.from_mapping(meta)
     report = FitReport(
         iterations_run=int(meta["iterations_run"]),
         final_rank_XW=int(meta["final_rank_xw"]),

@@ -5,48 +5,10 @@ from hypothesis import strategies as st
 
 from schirn.linalg import (
     as_matrix,
-    norms,
     numerical_rank,
     shrink,
-    svd,
     sym_eig,
 )
-
-
-class TestSvd:
-    def test_diagonal(self):
-        res = svd(np.diag([3.0, 4.0]))
-        assert np.allclose(res.singular_values, [4.0, 3.0])
-
-    def test_identity(self):
-        res = svd(np.eye(3))
-        assert np.allclose(res.singular_values, [1.0, 1.0, 1.0])
-
-    def test_rank_one_symmetric(self):
-        res = svd(np.ones((2, 2)))
-        assert np.allclose(res.singular_values, [2.0, 0.0], atol=1e-12)
-
-    def test_round_trip_and_orthonormality(self):
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            m = rng.integers(1, 200)
-            n = rng.integers(1, 200)
-            A = rng.standard_normal((m, n))
-            res = svd(A)
-            assert np.linalg.norm(res.reconstruct() - A) <= 1e-9 * max(1e-300, np.linalg.norm(A))
-            k = min(m, n)
-            assert np.allclose(res.U.T @ res.U, np.eye(k), atol=1e-10)
-            assert np.allclose(res.V.T @ res.V, np.eye(k), atol=1e-10)
-            assert np.all(np.diff(res.singular_values) <= 0)
-            assert np.all(res.singular_values >= 0)
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError, match="NaN"):
-            svd(np.array([[1.0, np.nan]]))
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ValueError):
-            svd(np.ones(3))
 
 
 class TestSymEig:
@@ -126,31 +88,6 @@ class TestNumericalRank:
                 # force rank deficiency
                 A[:, -1] = A[:, 0] if A.shape[1] > 1 else A[:, -1]
             assert numerical_rank(A) == numerical_rank(A.T)
-
-
-class TestNorms:
-    def test_diagonal(self):
-        out = norms(np.diag([3.0, 4.0]))
-        assert out.frobenius == pytest.approx(5.0)
-        assert out.l1 == pytest.approx(7.0)
-        assert out.nuclear == pytest.approx(7.0)
-
-    def test_zero(self):
-        out = norms(np.zeros((3, 2)))
-        assert (out.frobenius, out.l1, out.nuclear) == (0.0, 0.0, 0.0)
-
-    def test_rank_one(self):
-        out = norms(np.ones((2, 2)))
-        assert out.frobenius == pytest.approx(2.0)
-        assert out.l1 == pytest.approx(4.0)
-        assert out.nuclear == pytest.approx(2.0)
-
-    def test_nuclear_dominates_frobenius(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            A = rng.standard_normal((rng.integers(1, 15), rng.integers(1, 15)))
-            out = norms(A)
-            assert out.nuclear >= out.frobenius - 1e-12
 
 
 def test_as_matrix_rejects_empty():

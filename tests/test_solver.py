@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schirn import Dataset, SchirnParams, Variant, fit, load_model, save_model
-from schirn.linalg import norms, numerical_rank, sym_eig
+from schirn.linalg import numerical_rank, shrink, sym_eig
 from schirn.solver import (
     SolverState,
     objective,
@@ -177,6 +177,27 @@ class TestUpdateN:
             assert np.all(N <= Y)
             assert set(np.unique(N)) <= {0.0, 1.0}
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 8),
+        l=st.integers(1, 8),
+        alpha=st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0]),
+        ties=st.floats(0.0, 1.0),
+    )
+    def test_equals_shrink_oracle_with_exact_ties(self, seed, n, l, alpha, ties):
+        # the single comparison against the soft-threshold, sign and clip steps
+        # it replaces, on states where Y - C hits alpha/2 exactly (strict >)
+        rng = np.random.default_rng(seed)
+        Y = (rng.random((n, l)) < 0.6).astype(float)
+        state = random_state(rng, n, 2, l)
+        at_tie = rng.random((n, l)) < ties
+        state.C = np.where(at_tie, Y - alpha / 2.0, state.C)
+        assert np.all((Y - state.C)[at_tie] == alpha / 2.0)
+        N = update_n(state, Y, default_params(alpha=alpha))
+        oracle = np.minimum((shrink(Y - state.C, alpha / 2.0) > 0).astype(float), Y)
+        assert np.array_equal(N, oracle)
+
 
 def state_with_target_g(G, mu, n, d, l):
     """Build a state whose C-update pull matrix equals G (W = 0, N = 0, Y = 0)."""
@@ -282,7 +303,7 @@ class TestUpdateC:
             shift = beta / (2 + mu) if convention == "derived" else 2 * beta / (2 + mu)
 
             def surrogate(M):
-                return 0.5 * np.linalg.norm(M - G) ** 2 + shift * norms(M).nuclear
+                return 0.5 * np.linalg.norm(M - G) ** 2 + shift * np.linalg.svd(M, compute_uv=False).sum()
 
             best = surrogate(C)
             for _ in range(200):
@@ -379,6 +400,18 @@ class TestUpdateCNullDirections:
             scale = max(1.0, sG[0])
             assert np.all(np.abs(sC[:r] - np.sort(shifted(sG[:r], variant, beta))[::-1]) <= 1e-8 * scale)
             assert np.all(sC[r:] <= 1e-12 * scale)
+
+    def test_huge_finite_pull_matrix(self):
+        # G^T G of entries near 1e160 overflows unless G is scaled first
+        G = 1e160 * np.random.default_rng(16).standard_normal((5, 3))
+        U, s, Vt = np.linalg.svd(G, full_matrices=False)
+        for variant in (Variant.HIGH_RANK, Variant.LOW_RANK):
+            shift = 1e159  # a shift on the scale of G's spectrum
+            C = c_step_on(G, variant, shift)
+            assert np.all(np.isfinite(C))
+            expected = (U * shifted(s, variant, shift)) @ Vt
+            # norms of the unscaled matrices would overflow in the test itself
+            assert np.linalg.norm((C - expected) / 1e160) <= 1e-10 * np.linalg.norm(expected / 1e160)
 
     def test_non_finite_pull_matrix_raises(self):
         for bad in (np.nan, np.inf):
