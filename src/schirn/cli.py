@@ -14,7 +14,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from itertools import product
 from pathlib import Path
@@ -25,10 +24,10 @@ from .data import (Dataset, MatrixFormatError, NoiseSpec, describe, drop_empty_t
                    load_dataset, load_matrix, save_matrix, standardize)
 from .diagnostics import rank_report, verify_rank_theorem
 from .linalg import NumericalError
-from .metrics import MetricReport, evaluate_all
+from .metrics import evaluate_all
 from .solver import SchirnParams, Variant, fit, load_model, predict_labels, predict_scores, save_model
 
-__all__ = ["ExperimentConfig", "main"]
+__all__ = ["main", "run_ablate", "run_cv", "run_grid"]
 
 # hyperparameter search ranges used when grid lists are not given:
 # alpha 0.1..2.0 step 0.1, beta 0.01..0.10 step 0.01, lambda a fixed quintet
@@ -88,7 +87,6 @@ _OPTIONS = {
     "standardize": Option(_bool, False, "standardize feature columns"),
     "filter_empty_truth": Option(_bool, False, "drop samples whose ground-truth row is empty"),
     "folds": Option(int, 5, "fold count"),
-    "jobs": Option(int, 1, "concurrent fold fits"),
     "grid_alpha": Option(_float_list, None, "comma-separated alpha grid"),
     "grid_beta": Option(_float_list, None, "comma-separated beta grid"),
     "grid_lambda": Option(_float_list, None, "comma-separated lambda grid"),
@@ -141,56 +139,26 @@ def _resolve(args) -> dict:
     return {**{key: opt.default for key, opt in _OPTIONS.items()}, **file_values, **vars(args)}
 
 
-@dataclass
-class ExperimentConfig:
-    """Resolved options for one command invocation."""
-
-    features: str | None = None
-    labels: str | None = None
-    truth: str | None = None
-    r: int = 0
-    seed: int = 0
-    k_folds: int = 5
-    jobs: int = 1
-    out: str | None = None
-    do_standardize: bool = False
-    filter_empty_truth: bool = False
-    params: SchirnParams | None = None
-    grid_alpha: list[float] | None = None
-    grid_beta: list[float] | None = None
-    grid_lambda: list[float] | None = None
-
-
-def _make_config(v: dict) -> ExperimentConfig:
-    same_name = {f.name for f in fields(ExperimentConfig)} & v.keys()
-    return ExperimentConfig(
-        **{key: v[key] for key in same_name},
-        k_folds=v["folds"],
-        do_standardize=v["standardize"],
-        params=SchirnParams.from_mapping(v),
-    )
-
-
-def _load_experiment_dataset(cfg: ExperimentConfig) -> Dataset:
+def _load_experiment_dataset(v: dict) -> Dataset:
     """Assemble the working dataset; with r > 0 candidates are generated from truth."""
-    if cfg.features is None:
+    if v["features"] is None:
         raise ValueError("a features file is required (--features)")
-    if cfg.r <= 0:
-        if cfg.labels is None:
+    if v["r"] <= 0:
+        if v["labels"] is None:
             raise ValueError("a candidate-labels file is required (--labels) when r = 0")
-        return load_dataset(cfg.features, cfg.labels, cfg.truth, standardize_features=cfg.do_standardize,
-                            filter_empty_truth=cfg.filter_empty_truth)
-    if cfg.truth is None:
+        return load_dataset(v["features"], v["labels"], v["truth"], standardize_features=v["standardize"],
+                            filter_empty_truth=v["filter_empty_truth"])
+    if v["truth"] is None:
         raise ValueError("noise injection (r > 0) requires a ground-truth file (--truth)")
-    if cfg.labels is not None:
+    if v["labels"] is not None:
         raise ValueError("r > 0 generates candidates from --truth; do not also pass --labels")
-    X = load_matrix(cfg.features)
-    Y_true = load_matrix(cfg.truth, binary=True)
+    X = load_matrix(v["features"])
+    Y_true = load_matrix(v["truth"], binary=True)
     ds = Dataset(X=X, Y=Y_true.copy(), Y_true=Y_true)
-    if cfg.filter_empty_truth:
+    if v["filter_empty_truth"]:
         ds = drop_empty_truth(ds)
-    Y = inject_noise(ds.Y_true, NoiseSpec(r=cfg.r, seed=cfg.seed))
-    X = standardize(ds.X) if cfg.do_standardize else ds.X
+    Y = inject_noise(ds.Y_true, NoiseSpec(r=v["r"], seed=v["seed"]))
+    X = standardize(ds.X) if v["standardize"] else ds.X
     return Dataset(X=X, Y=Y, Y_true=ds.Y_true)
 
 
@@ -206,8 +174,8 @@ class CvOutcome:
     eval_target: str
 
 
-def run_cv(ds: Dataset, params: SchirnParams, k_folds: int, seed: int, jobs: int = 1) -> CvOutcome:
-    """k-fold cross-validation: fit on train, score and evaluate on test.
+def run_cv(ds: Dataset, params: SchirnParams, k_folds: int, seed: int) -> CvOutcome:
+    """k-fold cross-validation: fit on train, score and evaluate on test, fold by fold.
 
     Evaluation uses the ground-truth matrix when present, otherwise the
     candidate matrix; the outcome records which.
@@ -215,20 +183,12 @@ def run_cv(ds: Dataset, params: SchirnParams, k_folds: int, seed: int, jobs: int
     split = kfold_split(ds.n, k_folds, seed=seed + 1)
     target = ds.Y_true if ds.Y_true is not None else ds.Y
     eval_target = "truth" if ds.Y_true is not None else "candidates"
-
-    def one_fold(fold: int) -> MetricReport:
+    reports = []
+    for fold in range(k_folds):
         tr = split.train_indices(fold)
         te = split.test_indices(fold)
         model = fit(Dataset(X=ds.X[tr], Y=ds.Y[tr]), params)
-        scores = predict_scores(model, ds.X[te])
-        pred = predict_labels(model, ds.X[te])
-        return evaluate_all(scores, pred, target[te])
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(one_fold, range(k_folds)))
-    else:
-        reports = [one_fold(fold) for fold in range(k_folds)]
+        reports.append(evaluate_all(predict_scores(model, ds.X[te]), predict_labels(model, ds.X[te]), target[te]))
 
     mean = {}
     std = {}
@@ -239,18 +199,20 @@ def run_cv(ds: Dataset, params: SchirnParams, k_folds: int, seed: int, jobs: int
     return CvOutcome(fold_reports=reports, mean=mean, std=std, eval_target=eval_target)
 
 
-def run_grid(ds: Dataset, cfg: ExperimentConfig) -> list[dict]:
-    """Evaluate the full Cartesian product of the grids by CV mean average precision."""
-    alphas = cfg.grid_alpha if cfg.grid_alpha is not None else DEFAULT_GRID_ALPHA
-    betas = cfg.grid_beta if cfg.grid_beta is not None else DEFAULT_GRID_BETA
-    lambdas = cfg.grid_lambda if cfg.grid_lambda is not None else DEFAULT_GRID_LAMBDA
+def run_grid(ds: Dataset, params: SchirnParams, k_folds: int, seed: int, alphas, betas, lambdas) -> list[dict]:
+    """Evaluate the full Cartesian product of the grids by CV mean average precision.
+
+    A grid list given as None is its default search range.
+    """
+    alphas = DEFAULT_GRID_ALPHA if alphas is None else alphas
+    betas = DEFAULT_GRID_BETA if betas is None else betas
+    lambdas = DEFAULT_GRID_LAMBDA if lambdas is None else lambdas
     for name, lst in (("alpha", alphas), ("beta", betas), ("lambda", lambdas)):
         if not lst:
             raise ValueError(f"grid list for {name} is empty")
     rows = []
     for a, b, lam in product(alphas, betas, lambdas):
-        params = replace(cfg.params, alpha=a, beta=b, lam=lam)
-        outcome = run_cv(ds, params, cfg.k_folds, cfg.seed, cfg.jobs)
+        outcome = run_cv(ds, replace(params, alpha=a, beta=b, lam=lam), k_folds, seed)
         rows.append({"alpha": a, "beta": b, "lambda": lam, "mean": outcome.mean, "std": outcome.std})
     rows.sort(key=lambda r: (-r["mean"]["average_precision"], r["alpha"], r["beta"], r["lambda"]))
     for i, row in enumerate(rows):
@@ -261,12 +223,11 @@ def run_grid(ds: Dataset, cfg: ExperimentConfig) -> list[dict]:
 ABLATION_ORDER = (Variant.HIGH_RANK, Variant.NO_RANK, Variant.NO_SPARSITY, Variant.LOW_RANK)
 
 
-def run_ablate(ds: Dataset, cfg: ExperimentConfig) -> list[dict]:
+def run_ablate(ds: Dataset, params: SchirnParams, k_folds: int, seed: int) -> list[dict]:
     """Four CV runs differing only in the variant, same seed and folds."""
     rows = []
     for variant in ABLATION_ORDER:
-        params = replace(cfg.params, variant=variant)
-        outcome = run_cv(ds, params, cfg.k_folds, cfg.seed, cfg.jobs)
+        outcome = run_cv(ds, replace(params, variant=variant), k_folds, seed)
         rows.append({"variant": variant.value, "mean": outcome.mean, "std": outcome.std})
     return rows
 
@@ -287,8 +248,8 @@ def _mean_std_cells(row) -> list:
     return [_fmt(row[stat][name]) for name in METRIC_FIELDS for stat in _STATS]
 
 
-def _cv_table(ds, cfg):
-    outcome = run_cv(ds, cfg.params, cfg.k_folds, cfg.seed, cfg.jobs)
+def _cv_table(ds, params, v):
+    outcome = run_cv(ds, params, v["folds"], v["seed"])
     rows = [[fold, *(_fmt(getattr(rep, name)) for name in METRIC_FIELDS), rep.rows_scored, rep.rows_total]
             for fold, rep in enumerate(outcome.fold_reports)]
     rows += [[stat, *(_fmt(getattr(outcome, stat)[name]) for name in METRIC_FIELDS), "", ""] for stat in _STATS]
@@ -297,23 +258,23 @@ def _cv_table(ds, cfg):
         "mean": outcome.mean,
         "std": outcome.std,
         "eval_target": outcome.eval_target,
-        "params": cfg.params.to_dict(),
+        "params": params.to_dict(),
     }
     return ["fold", *METRIC_COLUMNS, "rows_scored", "rows_total"], rows, payload
 
 
-def _grid_table(ds, cfg):
-    cells = run_grid(ds, cfg)
+def _grid_table(ds, params, v):
+    cells = run_grid(ds, params, v["folds"], v["seed"], v["grid_alpha"], v["grid_beta"], v["grid_lambda"])
     rows = [[_fmt(c["alpha"]), _fmt(c["beta"]), _fmt(c["lambda"]), *_mean_std_cells(c), int(c["best"])]
             for c in cells]
-    payload = {"cells": cells, "best": cells[0], "fixed_params": cfg.params.to_dict()}
+    payload = {"cells": cells, "best": cells[0], "fixed_params": params.to_dict()}
     return ["alpha", "beta", "lambda", *_MEAN_STD_COLUMNS, "best"], rows, payload
 
 
-def _ablate_table(ds, cfg):
-    variants = run_ablate(ds, cfg)
+def _ablate_table(ds, params, v):
+    variants = run_ablate(ds, params, v["folds"], v["seed"])
     rows = [[row["variant"], *_mean_std_cells(row)] for row in variants]
-    return ["variant", *_MEAN_STD_COLUMNS], rows, {"rows": variants, "base_params": cfg.params.to_dict()}
+    return ["variant", *_MEAN_STD_COLUMNS], rows, {"rows": variants, "base_params": params.to_dict()}
 
 
 # output file stem and table of each CV experiment
@@ -346,10 +307,10 @@ def cmd_inject(v: dict) -> None:
 
 
 def cmd_fit(v: dict) -> None:
-    cfg = _make_config(v)
-    ds = _load_experiment_dataset(cfg)
-    model = fit(ds, cfg.params)
-    out_dir = Path(cfg.out)
+    params = SchirnParams.from_mapping(v)
+    ds = _load_experiment_dataset(v)
+    model = fit(ds, params)
+    out_dir = Path(v["out"])
     save_model(model, out_dir)
     report = model.report
     _write_json(
@@ -361,7 +322,7 @@ def cmd_fit(v: dict) -> None:
             "final_rank_xw": report.final_rank_XW,
             "first_noise_iter": report.first_noise_iter,
             "dataset": describe(ds),
-            "params": cfg.params.to_dict(),
+            "params": params.to_dict(),
         },
     )
 
@@ -390,19 +351,19 @@ def cmd_eval(v: dict) -> None:
 
 def cmd_experiment(v: dict) -> None:
     """cv, grid and ablate: CV runs on one dataset, written as CSV and JSON."""
-    cfg = _make_config(v)
-    ds = _load_experiment_dataset(cfg)
+    params = SchirnParams.from_mapping(v)
+    ds = _load_experiment_dataset(v)
     stem, tabulate = _EXPERIMENTS[v["command"]]
-    header, rows, payload = tabulate(ds, cfg)
-    out_dir = Path(cfg.out)
+    header, rows, payload = tabulate(ds, params, v)
+    out_dir = Path(v["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / f"{stem}.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([*header, "c_shift_convention"])
-        writer.writerows([*row, cfg.params.c_shift] for row in rows)
+        writer.writerows([*row, params.c_shift] for row in rows)
     _write_json(
         out_dir / f"{stem}.json",
-        {**payload, "seed": cfg.seed, "k_folds": cfg.k_folds, "noise_r": cfg.r, "conventions": _CONVENTIONS},
+        {**payload, "seed": v["seed"], "k_folds": v["folds"], "noise_r": v["r"], "conventions": _CONVENTIONS},
     )
 
 
@@ -423,7 +384,7 @@ def cmd_theorem_check(v: dict) -> None:
 
 _PARAMS = tuple(_PARAM_DEFAULTS)
 _DATA = ("features", "labels", "truth", "r", "standardize", "filter_empty_truth")
-_CV = _DATA + _PARAMS + ("folds", "jobs")
+_CV = _DATA + _PARAMS + ("folds",)
 
 # name: (handler, help, options besides --config/--seed/--out, options that must be set)
 _COMMANDS = {

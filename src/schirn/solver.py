@@ -63,6 +63,8 @@ __all__ = [
 ]
 
 C_SHIFT_CONVENTIONS = ("paper", "derived")
+# C step: Gram eigenvalues below this fraction of the largest take sigma from ||G v||
+_WEAK_EIG = 1e-4
 
 
 class Variant(str, enum.Enum):
@@ -106,6 +108,10 @@ class SchirnParams:
     c_shift: str = _hyper("paper", "singular-value shift convention", choices=C_SHIFT_CONVENTIONS)
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ValueError(f"{_param_key(f)} must be finite, got {value}")
         if self.alpha <= 0:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
         if self.beta < 0:
@@ -264,11 +270,16 @@ def update_c(state: SolverState, X: np.ndarray, Y: np.ndarray, params: SchirnPar
     (the n x n G G^T when l > n), so no n x l SVD is formed:
     C = G V diag(f(s)/s) V^T, or U diag(f(s)/s) U^T G on the G G^T route.
     Squaring G costs accuracy in its small singular values: the relative
-    error of sigma is about eps * sigma_max^2 / sigma^2, against eps for an
-    SVD of G itself (the Gram-versus-QR trade-off analysed by Halko,
-    Martinsson and Tropp, "Finding structure with randomness", SIAM Review
-    2011). Gram eigenvalues at or below max(n, l) * eps * lambda_max are
-    therefore rounding noise and count as null directions of G.
+    error of sqrt(lambda) as sigma is about eps * sigma_max^2 / sigma^2,
+    against eps for an SVD of G itself (the Gram-versus-QR trade-off
+    analysed by Halko, Martinsson and Tropp, "Finding structure with
+    randomness", SIAM Review 2011). Gram eigenvalues at or below
+    max(n, l) * eps * lambda_max are therefore rounding noise and count as
+    null directions of G. A kept direction v whose eigenvalue is below
+    1e-4 * lambda_max takes sigma = ||G v|| instead: an error in v moves
+    that norm only to second order, whereas an error delta in sigma would
+    reach C as shift * delta along v. Only those weak directions pay for
+    the extra product with G.
 
     Null directions get no shift: they are treated as exact zeros of G and
     stay zero in C, so C is the shift applied to G with those directions
@@ -300,12 +311,16 @@ def update_c(state: SolverState, X: np.ndarray, Y: np.ndarray, params: SchirnPar
     eig = _gram_eig(np.ldexp(G, -k), dual=wide)
     lam = eig.eigenvalues
     keep = lam > max(G.shape) * _EPS * lam[-1]
-    s = np.ldexp(np.sqrt(lam[keep]), k)
+    V = eig.Q[:, keep]
+    s = np.sqrt(lam[keep])
+    weak = lam[keep] < _WEAK_EIG * lam[-1]
+    if weak.any():
+        s[weak] = np.linalg.norm(np.ldexp(G.T @ V[:, weak] if wide else G @ V[:, weak], -k), axis=0)
+    s = np.ldexp(s, k)
     if params.variant is Variant.LOW_RANK:
         f = np.maximum(0.0, s - shift)
     else:
         f = s + shift
-    V = eig.Q[:, keep]
     M = (V * (f / s)) @ V.T
     return M @ G if wide else G @ M
 

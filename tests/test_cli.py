@@ -118,6 +118,16 @@ class TestFit:
         assert rc == 1
         assert "synthetic failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [("--alpha", "nan"), ("--lambda", "inf"), ("--beta", "nan")])
+    def test_non_finite_hyperparameter_exits_2(self, synth_files, tmp_path, capsys, flag, value):
+        paths, _ = synth_files
+        out = tmp_path / "m"
+        rc = main(["fit", "--features", str(paths["features"]), "--labels", str(paths["labels"]),
+                   flag, value, "--out", str(out)])
+        assert rc == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPredictEval:
     def test_predict_standardize_flag(self, synth_files, tmp_path):
@@ -197,12 +207,18 @@ class TestCv:
         assert (a / "cv_results.csv").read_bytes() == (b / "cv_results.csv").read_bytes()
         assert (a / "cv_results.json").read_bytes() == (b / "cv_results.json").read_bytes()
 
-    def test_jobs_parallel_matches_serial(self, synth_files, tmp_path):
+    def test_jobs_is_an_unknown_option(self, synth_files, tmp_path, capsys):
+        # folds run serially; a leftover --jobs flag or config key is an input error
         paths, _ = synth_files
-        serial, parallel = tmp_path / "cv_s", tmp_path / "cv_p"
-        main(self.cv_args(paths, serial))
-        main(self.cv_args(paths, parallel, extra=("--jobs", "3")))
-        assert (serial / "cv_results.csv").read_bytes() == (parallel / "cv_results.csv").read_bytes()
+        with pytest.raises(SystemExit) as exc:
+            main(self.cv_args(paths, tmp_path / "cv_flag", extra=("--jobs", "2")))
+        assert exc.value.code == 2
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("jobs=2\n")
+        rc = main(self.cv_args(paths, tmp_path / "cv_cfg", extra=("--config", str(cfg))))
+        assert rc == 2
+        assert "unknown config key 'jobs'" in capsys.readouterr().err
+        assert not (tmp_path / "cv_flag").exists() and not (tmp_path / "cv_cfg").exists()
 
     def test_injection_path_requires_truth(self, synth_files, tmp_path, capsys):
         paths, _ = synth_files
@@ -547,13 +563,12 @@ class TestMissingOptions:
         assert "features file is required" in capsys.readouterr().err
 
     def test_run_grid_rejects_empty_programmatic_list(self, synth_files):
-        from schirn.cli import ExperimentConfig, run_grid
+        from schirn.cli import run_grid
         from schirn.solver import SchirnParams
         paths, ds = synth_files
-        cfg = ExperimentConfig(params=SchirnParams(alpha=1.0, beta=0.05, lam=10.0),
-                               grid_alpha=[], k_folds=3, seed=0)
+        params = SchirnParams(alpha=1.0, beta=0.05, lam=10.0)
         with pytest.raises(ValueError, match="grid list for alpha is empty"):
-            run_grid(ds, cfg)
+            run_grid(ds, params, 3, 0, [], None, None)
 
 
 class TestStandardizeFlag:

@@ -124,7 +124,8 @@ def test_to_dict_from_mapping_round_trip():
 
 
 # flag -> (choices, default when neither the flag nor a config file sets it),
-# per subcommand, as recorded from the hand-written parser this replaced
+# per subcommand, as recorded from the hand-written parser this replaced (less
+# --jobs, removed with the fold thread pool)
 VARIANTS = ("high-rank", "low-rank", "no-rank", "no-sparsity")
 COMMON = {"--config": (None, None), "--seed": (None, 0), "--out": (None, None)}
 DATA = {
@@ -136,7 +137,7 @@ PARAMS = {
     "--mu-max": (None, 10.0), "--rho": (None, 1.1), "--max-iter": (None, 100), "--tol": (None, 0.0),
     "--variant": (VARIANTS, "high-rank"), "--threshold": (None, 0.5), "--c-shift": (("paper", "derived"), "paper"),
 }
-CV = {**DATA, **PARAMS, "--folds": (None, 5), "--jobs": (None, 1)}
+CV = {**DATA, **PARAMS, "--folds": (None, 5)}
 RECORDED = {
     "inject": {"--truth": (None, None), "--r": (None, 0), **COMMON},
     "fit": {**DATA, **PARAMS, **COMMON},

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schirn import Dataset, SchirnParams, Variant, fit, load_model, save_model
@@ -57,6 +57,15 @@ class TestParams:
             dict(threshold=0.0),
             dict(threshold=1.0),
             dict(c_shift="other"),
+            dict(alpha=float("nan")),
+            dict(beta=float("nan")),
+            dict(beta=float("inf")),
+            dict(lam=float("inf")),
+            dict(mu0=float("nan")),
+            dict(mu_max=float("inf")),
+            dict(rho=float("inf")),
+            dict(tol=float("inf")),
+            dict(threshold=float("nan")),
         ],
     )
     def test_rejects_invalid(self, bad):
@@ -384,6 +393,9 @@ class TestUpdateCNullDirections:
         variant=st.sampled_from(list(Variant)),
         beta=st.floats(0.0, 1.0),
     )
+    # full rank with sigma_min / sigma_max ~ 8e-6: sqrt of the Gram eigenvalue
+    # put the shifted sigma_min off by 1e-6; ||G v|| gets it to ~3e-12
+    @example(seed=8, n=7, l=7, rank=7, variant=Variant.HIGH_RANK, beta=1.0)
     def test_finite_and_repeatable(self, seed, n, l, rank, variant, beta):
         rng = np.random.default_rng(seed)
         r = min(rank, n, l)
@@ -573,6 +585,49 @@ class TestFit:
         bad.X = ds.X[:-1]  # bypass constructor check to exercise fit's own guard
         with pytest.raises(ValueError):
             fit(bad, default_params())
+
+
+class TestFitDegenerateShapes:
+    """fit stays finite, feasible and deterministic on l > n, d > n (the dual
+    W step), constant and all-zero feature columns, and all-zero or all-one
+    label rows."""
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 8),
+        d=st.integers(1, 12),
+        l=st.integers(1, 12),
+        const_col=st.booleans(),
+        zero_col=st.booleans(),
+        zero_row=st.booleans(),
+        one_row=st.booleans(),
+    )
+    def test_finite_feasible_repeatable(self, variant, seed, n, d, l, const_col, zero_col, zero_row, one_row):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, d))
+        Y = (rng.random((n, l)) < 0.4).astype(float)
+        if const_col:
+            X[:, rng.integers(d)] = rng.standard_normal()
+        if zero_col:
+            X[:, rng.integers(d)] = 0.0
+        if zero_row:
+            Y[rng.integers(n)] = 0.0
+        if one_row:
+            Y[rng.integers(n)] = 1.0
+        params = default_params(variant=variant)
+        model = fit(Dataset(X=X, Y=Y), params)
+        report = model.report
+        assert np.all(np.isfinite(model.W))
+        assert np.all(np.isfinite(report.objective_trace))
+        assert np.all(np.isfinite(report.primal_residual_trace))
+        assert np.all(model.noise <= Y)
+        again = fit(Dataset(X=X, Y=Y), params)
+        assert np.array_equal(model.W, again.W)
+        assert np.array_equal(model.noise, again.noise)
+        assert report.objective_trace == again.report.objective_trace
+        assert report.primal_residual_trace == again.report.primal_residual_trace
 
 
 def reference_fit(ds, params):
