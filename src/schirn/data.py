@@ -8,7 +8,6 @@ newline optional. A dataset on disk is a (features, labels) file pair plus
 an optional ground-truth labels file.
 """
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -158,13 +157,12 @@ def load_matrix(path, *, binary: bool = False) -> np.ndarray:
             out[i] = [float(t) for t in tokens]
         else:
             try:
-                row = [float(t) for t in tokens]
+                out[i] = [float(t) for t in tokens]
             except ValueError:
                 bad = next(t for t in tokens if not _is_float(t))
                 raise MatrixFormatError(path, line_no, f"non-numeric token {bad!r}") from None
-            if not all(math.isfinite(v) for v in row):
+            if not np.isfinite(out[i]).all():
                 raise MatrixFormatError(path, line_no, "non-finite value")
-            out[i] = row
     return out
 
 
@@ -183,11 +181,11 @@ def save_matrix(path, a, *, binary: bool = False) -> None:
         _check_binary(A, "matrix")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{A.shape[0]} {A.shape[1]}\n")
-        for row in A:
+        for row in A.tolist():
             if binary:
                 fh.write(" ".join(str(int(v)) for v in row))
             else:
-                fh.write(" ".join(repr(float(v)) for v in row))
+                fh.write(" ".join(map(repr, row)))
             fh.write("\n")
 
 

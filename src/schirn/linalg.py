@@ -15,7 +15,6 @@ __all__ = [
     "EigResult",
     "as_matrix",
     "sym_eig",
-    "shrink",
     "numerical_rank",
 ]
 
@@ -63,19 +62,6 @@ def sym_eig(a) -> EigResult:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed for {A.shape} input") from exc
     return EigResult(Q=Q, eigenvalues=w)
-
-
-def shrink(a, eps):
-    """Soft-thresholding: shrink magnitudes by ``eps`` and zero the band [-eps, eps].
-
-    Elementwise on arrays; sign is preserved and |shrink(a, eps)| = max(0, |a| - eps).
-    """
-    if eps < 0:
-        raise ValueError(f"shrink threshold must be non-negative, got {eps}")
-    out = np.sign(a) * np.maximum(np.abs(a) - eps, 0.0)
-    if np.ndim(a) == 0:
-        return float(out)
-    return out
 
 
 def numerical_rank(a) -> int:

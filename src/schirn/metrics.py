@@ -12,6 +12,9 @@ Conventions, fixed across the package and stated in every output header:
   contrast and are excluded from average precision, ranking loss, coverage,
   and one-error. Hamming loss never excludes rows. When every row is
   excluded the ranking metrics are defined as 0 and the report flags it.
+
+``_ranking`` applies these rules once for all four ranking metrics, from one
+rank order per scorable row; the public functions read its result.
 """
 
 from dataclasses import dataclass
@@ -70,59 +73,58 @@ def _check_pair(scores, truth):
     return S, T
 
 
-def _included_rows(T: np.ndarray) -> np.ndarray:
-    row_sums = T.sum(axis=1)
-    return np.flatnonzero((row_sums > 0) & (row_sums < T.shape[1]))
+def _mean(values: np.ndarray) -> float:
+    # a running total in row order, not np.mean's pairwise sum, which rounds differently
+    return float(np.cumsum(values)[-1] / values.size) if values.size else 0.0
 
 
-def _ranks(scores_row: np.ndarray) -> np.ndarray:
-    # stable sort on -score keeps ascending index order among ties
-    order = np.argsort(-scores_row, kind="stable")
-    ranks = np.empty(scores_row.size, dtype=np.int64)
-    ranks[order] = np.arange(1, scores_row.size + 1)
-    return ranks
+def _ranking(scores, truth) -> dict:
+    """The four ranking metrics and the row counts, from one validation of the pair.
+
+    Applies every convention in the module docstring; the ``MetricReport``
+    fields other than ``hamming_loss`` are its keys.
+    """
+    S, T = _check_pair(scores, truth)
+    n, l = T.shape
+    k = T.sum(axis=1)
+    scorable = (k > 0) & (k < l)
+    S, T, k = S[scorable], T[scorable], k[scorable]
+    # truth in rank order: descending score, a stable sort keeps ties in label order
+    R = np.take_along_axis(T, np.argsort(-S, axis=1, kind="stable"), axis=1)
+    # the j-th relevant label in rank order has precision j / rank
+    precision = np.cumsum(R, axis=1) / np.arange(1, l + 1)
+    ap = np.empty(k.size)
+    for count in np.unique(k):
+        # .mean over an (m x count) block sums each row exactly as np.mean sums one row
+        group = k == count
+        ap[group] = precision[group][R[group] == 1.0].reshape(-1, int(count)).mean(axis=1)
+    # ascending score with relevant before irrelevant among ties: every relevant label
+    # ahead of an irrelevant one is a violation, equal scores included
+    Q = np.take_along_axis(T, np.lexsort((-T, S), axis=1), axis=1)
+    violations = (np.cumsum(Q, axis=1) * (1.0 - Q)).sum(axis=1)
+    return {
+        "average_precision": _mean(ap),
+        "ranking_loss": _mean(violations / (k * (l - k))),
+        "coverage": _mean((l - 1 - np.argmax(R[:, ::-1], axis=1)) / l),
+        "one_error": _mean(R[:, 0] == 0.0),
+        "rows_scored": k.size,
+        "rows_total": n,
+    }
 
 
 def average_precision(scores, truth) -> float:
     """Mean precision at the ranks of the relevant labels."""
-    S, T = _check_pair(scores, truth)
-    rows = _included_rows(T)
-    if rows.size == 0:
-        return 0.0
-    total = 0.0
-    for i in rows:
-        rel_ranks = np.sort(_ranks(S[i])[T[i] == 1.0])
-        # the j-th smallest relevant rank has exactly j relevant labels at or above it
-        total += float(np.mean(np.arange(1, rel_ranks.size + 1) / rel_ranks))
-    return total / rows.size
+    return _ranking(scores, truth)["average_precision"]
 
 
 def ranking_loss(scores, truth) -> float:
     """Fraction of (relevant, irrelevant) pairs ordered wrongly; ties count as violations."""
-    S, T = _check_pair(scores, truth)
-    rows = _included_rows(T)
-    if rows.size == 0:
-        return 0.0
-    total = 0.0
-    for i in rows:
-        rel = S[i][T[i] == 1.0]
-        irr = S[i][T[i] == 0.0]
-        violations = np.count_nonzero(rel[:, None] <= irr[None, :])
-        total += violations / (rel.size * irr.size)
-    return total / rows.size
+    return _ranking(scores, truth)["ranking_loss"]
 
 
 def coverage(scores, truth) -> float:
     """How deep the ranking goes to capture all relevant labels, over l."""
-    S, T = _check_pair(scores, truth)
-    rows = _included_rows(T)
-    if rows.size == 0:
-        return 0.0
-    l = T.shape[1]
-    total = 0.0
-    for i in rows:
-        total += (int(_ranks(S[i])[T[i] == 1.0].max()) - 1) / l
-    return total / rows.size
+    return _ranking(scores, truth)["coverage"]
 
 
 def hamming_loss(pred, truth) -> float:
@@ -139,24 +141,10 @@ def hamming_loss(pred, truth) -> float:
 
 def one_error(scores, truth) -> float:
     """Fraction of rows whose top-ranked label is not relevant."""
-    S, T = _check_pair(scores, truth)
-    rows = _included_rows(T)
-    if rows.size == 0:
-        return 0.0
-    # argmax returns the first maximum, matching the ascending-index tie rule
-    top = np.argmax(S[rows], axis=1)
-    return float(np.mean(T[rows, top] == 0.0))
+    return _ranking(scores, truth)["one_error"]
 
 
 def evaluate_all(scores, pred, truth) -> MetricReport:
     """All five metrics for one (scores, binarized predictions, truth) triple."""
-    S, T = _check_pair(scores, truth)
-    return MetricReport(
-        average_precision=average_precision(S, T),
-        ranking_loss=ranking_loss(S, T),
-        coverage=coverage(S, T),
-        hamming_loss=hamming_loss(pred, T),
-        one_error=one_error(S, T),
-        rows_scored=int(_included_rows(T).size),
-        rows_total=int(T.shape[0]),
-    )
+    ranking = _ranking(scores, truth)  # the (scores, truth) pair is checked before pred
+    return MetricReport(hamming_loss=hamming_loss(pred, truth), **ranking)

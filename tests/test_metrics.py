@@ -89,6 +89,64 @@ def random_instance(rng, max_n=6, max_l=7, ties=True):
     return scores, truth
 
 
+# reference: the per-row loops the vectorized metrics replaced, kept verbatim
+
+
+def _row_ranks(scores_row):
+    order = np.argsort(-scores_row, kind="stable")
+    ranks = np.empty(scores_row.size, dtype=np.int64)
+    ranks[order] = np.arange(1, scores_row.size + 1)
+    return ranks
+
+
+def _scorable(T):
+    row_sums = T.sum(axis=1)
+    return np.flatnonzero((row_sums > 0) & (row_sums < T.shape[1]))
+
+
+def ap_loop(S, T):
+    rows = _scorable(T)
+    if rows.size == 0:
+        return 0.0
+    total = 0.0
+    for i in rows:
+        rel_ranks = np.sort(_row_ranks(S[i])[T[i] == 1.0])
+        total += float(np.mean(np.arange(1, rel_ranks.size + 1) / rel_ranks))
+    return total / rows.size
+
+
+def rl_loop(S, T):
+    rows = _scorable(T)
+    if rows.size == 0:
+        return 0.0
+    total = 0.0
+    for i in rows:
+        rel = S[i][T[i] == 1.0]
+        irr = S[i][T[i] == 0.0]
+        violations = np.count_nonzero(rel[:, None] <= irr[None, :])
+        total += violations / (rel.size * irr.size)
+    return total / rows.size
+
+
+def cov_loop(S, T):
+    rows = _scorable(T)
+    if rows.size == 0:
+        return 0.0
+    l = T.shape[1]
+    total = 0.0
+    for i in rows:
+        total += (int(_row_ranks(S[i])[T[i] == 1.0].max()) - 1) / l
+    return total / rows.size
+
+
+def oe_argmax(S, T):
+    rows = _scorable(T)
+    if rows.size == 0:
+        return 0.0
+    top = np.argmax(S[rows], axis=1)
+    return float(np.mean(T[rows, top] == 0.0))
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -271,3 +329,42 @@ class TestEvaluateAll:
     def test_hamming_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             hamming_loss(np.ones((2, 2)), np.ones((2, 3)))
+
+
+class TestLoopReference:
+    """Bit-for-bit equality with the per-row loops, beyond the oracles' small shapes.
+
+    Rows with 8 or more relevant labels are where np.mean sums pairwise, so a
+    row sum taken in plain order (np.add.reduceat, say) differs in the last bit.
+    """
+
+    def test_equal_to_loops(self):
+        rng = np.random.default_rng(2024)
+        many_relevant = 0
+        for trial in range(400):
+            n, l = int(rng.integers(1, 61)), int(rng.integers(2, 41))
+            if trial % 3 == 0:
+                scores = rng.integers(0, 4, size=(n, l)).astype(float)
+            else:
+                scores = rng.standard_normal((n, l))
+            truth = (rng.random((n, l)) < rng.uniform(0.05, 0.95)).astype(float)
+            truth[rng.random(n) < 0.1] = 0.0
+            truth[rng.random(n) < 0.1] = 1.0
+            many_relevant += int(np.count_nonzero(truth[_scorable(truth)].sum(axis=1) >= 8))
+            pred = (rng.random((n, l)) < 0.5).astype(float)
+            report = evaluate_all(scores, pred, truth)
+            expected = {
+                "average_precision": ap_loop(scores, truth),
+                "ranking_loss": rl_loop(scores, truth),
+                "coverage": cov_loop(scores, truth),
+                "one_error": oe_argmax(scores, truth),
+            }
+            standalone = (average_precision, ranking_loss, coverage, one_error)
+            for metric in standalone:
+                value = metric(scores, truth)
+                assert value == expected[metric.__name__]
+                assert getattr(report, metric.__name__) == value
+            assert report.hamming_loss == hamming_loss(pred, truth)
+            assert report.rows_scored == _scorable(truth).size
+            assert report.rows_total == n
+        assert many_relevant > 1000

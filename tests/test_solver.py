@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schirn import Dataset, SchirnParams, Variant, fit, load_model, save_model
-from schirn.linalg import numerical_rank, shrink, sym_eig
+from schirn.linalg import numerical_rank, sym_eig
 from schirn.solver import (
     SolverState,
     objective,
@@ -16,6 +16,7 @@ from schirn.solver import (
     update_w,
 )
 from synthdata import make_synth
+from test_linalg import shrink
 
 
 def default_params(**overrides):
