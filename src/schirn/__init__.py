@@ -38,6 +38,7 @@ from .solver import (
     SchirnParams,
     SolverState,
     Variant,
+    binarize,
     fit,
     load_model,
     objective,

@@ -25,7 +25,7 @@ from .data import (Dataset, MatrixFormatError, NoiseSpec, describe, drop_empty_t
 from .diagnostics import rank_report, verify_rank_theorem
 from .linalg import NumericalError
 from .metrics import evaluate_all
-from .solver import SchirnParams, Variant, fit, load_model, predict_labels, predict_scores, save_model
+from .solver import SchirnParams, Variant, binarize, fit, load_model, predict_scores, save_model
 
 __all__ = ["main", "run_ablate", "run_cv", "run_grid"]
 
@@ -178,7 +178,8 @@ def run_cv(ds: Dataset, params: SchirnParams, k_folds: int, seed: int) -> CvOutc
     """k-fold cross-validation: fit on train, score and evaluate on test, fold by fold.
 
     Evaluation uses the ground-truth matrix when present, otherwise the
-    candidate matrix; the outcome records which.
+    candidate matrix; the outcome records which. The fits skip their
+    traces (trace="none"), which nothing here reads.
     """
     split = kfold_split(ds.n, k_folds, seed=seed + 1)
     target = ds.Y_true if ds.Y_true is not None else ds.Y
@@ -187,8 +188,9 @@ def run_cv(ds: Dataset, params: SchirnParams, k_folds: int, seed: int) -> CvOutc
     for fold in range(k_folds):
         tr = split.train_indices(fold)
         te = split.test_indices(fold)
-        model = fit(Dataset(X=ds.X[tr], Y=ds.Y[tr]), params)
-        reports.append(evaluate_all(predict_scores(model, ds.X[te]), predict_labels(model, ds.X[te]), target[te]))
+        model = fit(Dataset(X=ds.X[tr], Y=ds.Y[tr]), params, trace="none")
+        scores = predict_scores(model, ds.X[te])
+        reports.append(evaluate_all(scores, binarize(scores, params.threshold), target[te]))
 
     mean = {}
     std = {}
@@ -334,8 +336,9 @@ def cmd_predict(v: dict) -> None:
         X = standardize(X)
     out_dir = Path(v["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_matrix(out_dir / "scores.txt", predict_scores(model, X))
-    save_matrix(out_dir / "labels.txt", predict_labels(model, X), binary=True)
+    scores = predict_scores(model, X)
+    save_matrix(out_dir / "scores.txt", scores)
+    save_matrix(out_dir / "labels.txt", binarize(scores, model.params.threshold), binary=True)
 
 
 def cmd_eval(v: dict) -> None:
@@ -344,7 +347,7 @@ def cmd_eval(v: dict) -> None:
     if v["pred"] is not None:
         pred = load_matrix(v["pred"], binary=True)
     else:
-        pred = (scores > v["threshold"]).astype(np.float64)
+        pred = binarize(scores, v["threshold"])
     report = evaluate_all(scores, pred, truth)
     _write_json(v["out"], {"metrics": report.as_dict(), "threshold": v["threshold"], "conventions": _CONVENTIONS})
 

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import betainc
 
 from .linalg import numerical_rank
-from .solver import Model, predict_labels, predict_scores
+from .solver import Model, binarize, predict_scores
 
 __all__ = [
     "RankReport",
@@ -78,10 +78,9 @@ class TTestResult:
 def rank_report(model: Model, ds) -> RankReport:
     """Ranks of X W (raw and thresholded), the candidate matrix, and the truth."""
     scores = predict_scores(model, ds.X)
-    labels = predict_labels(model, ds.X)
     return RankReport(
         rank_prediction_scores=numerical_rank(scores),
-        rank_prediction_labels=numerical_rank(labels),
+        rank_prediction_labels=numerical_rank(binarize(scores, model.params.threshold)),
         rank_observed=numerical_rank(ds.Y),
         rank_truth=numerical_rank(ds.Y_true) if ds.Y_true is not None else None,
     )

@@ -30,6 +30,30 @@ the C step, the multiplier step, the residual and the objective. The
 objective's nuclear norm ||XW||_* is taken from the singular values of R W,
 where X = QR is a reduced QR factorization computed once per fit.
 
+When d <= n and l <= n, the W step works in d x l space: fit keeps four
+products of X^T with the n x l iterates (XtProducts), each maintained by
+the block that changes its iterate:
+
+    X^T Y     formed once;
+    X^T X W   Q diag(e) Q^T W, from the W step's eigendecomposition of X^T X;
+    X^T N     updated only from the rows where the N step changed N;
+    X^T Lam   X^T Lam += mu (X^T X W - X^T C), the multiplier recursion.
+
+On that route C = G M with M the l x l map of the C step (M = I for no-rank
+or a zero shift), so X^T C = (X^T G) M and X^T G follows from the four
+products by the same formula as G. The W step's right-hand side
+mu X^T C - X^T Lam then needs no n-row product, and X W is the only
+n x d x l product of an iteration. The dual W route (d > n) and the wide
+C route (l > n, where C = M G with M of size n x n) keep the n-space
+right-hand side X^T (mu C - Lam). The products track their n-space
+counterparts up to rounding, so W moves in its last digits against the
+n-space route while N, which depends on W only through thresholds,
+is in practice unchanged.
+
+fit(..., trace="none") skips the diagnostics: no objective, no stored
+residual and no QR factor. The residual is still formed when tol > 0,
+because the early stop reads it.
+
 Ablation variants: "high-rank" is the full method; "no-rank" drops the
 nuclear term (C = G); "no-sparsity" keeps the high-rank term but freezes
 N = 0; "low-rank" flips the nuclear term's sign so singular values are
@@ -48,6 +72,7 @@ __all__ = [
     "Variant",
     "SchirnParams",
     "SolverState",
+    "XtProducts",
     "FitReport",
     "Model",
     "fit",
@@ -58,11 +83,13 @@ __all__ = [
     "objective",
     "predict_scores",
     "predict_labels",
+    "binarize",
     "save_model",
     "load_model",
 ]
 
 C_SHIFT_CONVENTIONS = ("paper", "derived")
+TRACE_LEVELS = ("none", "residual")
 # C step: Gram eigenvalues below this fraction of the largest take sigma from ||G v||
 _WEAK_EIG = 1e-4
 
@@ -171,6 +198,33 @@ class SolverState:
 
 
 @dataclass
+class XtProducts:
+    """X^T times the n x l iterates, for the d x l W step (d <= n, l <= n).
+
+    update_w sets XtXW, update_n updates XtN, update_c sets XtC and
+    update_lagrange steps XtLam; see the module docstring.
+    """
+
+    X: np.ndarray
+    XtY: np.ndarray
+    XtN: np.ndarray
+    XtC: np.ndarray
+    XtLam: np.ndarray
+    XtXW: np.ndarray | None = None
+
+    @classmethod
+    def start(cls, X: np.ndarray, Y: np.ndarray, state: SolverState) -> "XtProducts":
+        return cls(X=X, XtY=X.T @ Y, XtN=X.T @ state.N, XtC=X.T @ state.C, XtLam=X.T @ state.Lam)
+
+    def change_noise(self, N_new: np.ndarray, N_old: np.ndarray) -> None:
+        """X^T N += X^T (N_new - N_old), over the rows where N changed."""
+        changed = np.flatnonzero(N_new != N_old)
+        if changed.size:
+            rows = np.unique(changed // N_new.shape[1])
+            self.XtN += self.X[rows].T @ (N_new[rows] - N_old[rows])
+
+
+@dataclass
 class FitReport:
     """Per-iteration traces plus the final prediction-matrix rank.
 
@@ -225,7 +279,8 @@ def _gram_eig(X: np.ndarray, dual: bool):
     return sym_eig((gram + gram.T) / 2.0)
 
 
-def update_w(state: SolverState, X: np.ndarray, params: SchirnParams, eig=None, dual=False) -> np.ndarray:
+def update_w(state: SolverState, X: np.ndarray, params: SchirnParams, eig=None, dual=False,
+             Xt=None) -> np.ndarray:
     """Solve (mu X^T X + 2 lam I) W = mu X^T C - X^T Lam.
 
     ``eig`` is an optional precomputed eigendecomposition of the Gram matrix
@@ -234,31 +289,49 @@ def update_w(state: SolverState, X: np.ndarray, params: SchirnParams, eig=None, 
     mu change cheap. The dual route uses the push-through identity
     (mu X^T X + 2 lam I)^{-1} X^T = X^T (mu X X^T + 2 lam I)^{-1} and is the
     right choice when there are more features than samples.
+
+    ``Xt`` is optional XtProducts (primal route only): the right-hand side
+    is then read from Xt.XtC and Xt.XtLam, and Xt.XtXW is set to X^T X W.
     """
     if eig is None:
         eig = _gram_eig(X, dual)
     denom = state.mu * eig.eigenvalues + 2.0 * params.lam
-    target = state.mu * state.C - state.Lam
     if dual:
+        target = state.mu * state.C - state.Lam
         return X.T @ (eig.Q @ ((eig.Q.T @ target) / denom[:, None]))
-    return eig.Q @ ((eig.Q.T @ (X.T @ target)) / denom[:, None])
+    if Xt is None:
+        Z = (eig.Q.T @ (X.T @ (state.mu * state.C - state.Lam))) / denom[:, None]
+    else:
+        Z = (eig.Q.T @ (state.mu * Xt.XtC - Xt.XtLam)) / denom[:, None]
+        Xt.XtXW = eig.Q @ (eig.eigenvalues[:, None] * Z)
+    return eig.Q @ Z
 
 
-def update_n(state: SolverState, Y: np.ndarray, params: SchirnParams) -> np.ndarray:
+def update_n(state: SolverState, Y: np.ndarray, params: SchirnParams, Xt=None) -> np.ndarray:
     """One exact proximal step for the noise matrix.
 
     Soft-threshold M = Y - C by alpha/2, map positive survivors to 1, then
     clip to the candidate set; computed as the single comparison
     M > alpha/2 on the candidate entries. Under the no-sparsity variant N
-    stays zero.
+    stays zero. ``Xt`` is optional XtProducts whose X^T N is kept in step.
     """
     if params.variant is Variant.NO_SPARSITY:
-        return np.zeros_like(Y)
-    # shrink(Y - C, alpha/2) > 0 exactly where Y - C > alpha/2; N <= Y keeps the candidates
-    return ((Y - state.C > params.alpha / 2.0) & (Y == 1.0)).astype(np.float64)
+        N = np.zeros_like(Y)
+    else:
+        # shrink(Y - C, alpha/2) > 0 exactly where Y - C > alpha/2; N <= Y keeps the candidates
+        N = ((Y - state.C > params.alpha / 2.0) & (Y == 1.0)).astype(np.float64)
+    if Xt is not None:
+        Xt.change_noise(N, state.N)
+    return N
 
 
-def update_c(state: SolverState, X: np.ndarray, Y: np.ndarray, params: SchirnParams, XW=None) -> np.ndarray:
+def _pull(Y, N, Lam, XW, mu: float) -> np.ndarray:
+    """G = (2Y - 2N + Lam + mu XW) / (2 + mu); linear, so also X^T G from the X^T products."""
+    return (2.0 * Y - 2.0 * N + Lam + mu * XW) / (2.0 + mu)
+
+
+def update_c(state: SolverState, X: np.ndarray, Y: np.ndarray, params: SchirnParams, XW=None,
+             Xt=None) -> np.ndarray:
     """Singular-value shift update of the relaxed prediction matrix.
 
     The quadratic part pulls C toward G = (2Y - 2N + Lam + mu XW) / (2 + mu);
@@ -298,14 +371,28 @@ def update_c(state: SolverState, X: np.ndarray, Y: np.ndarray, params: SchirnPar
     scaling is exact for every entry that stays in the normal range, so on
     ordinary G the result is bit-for-bit that of the unscaled Gram. NaN or
     Inf in G raises ValueError, detected on the small Gram matrix.
+
+    ``Xt`` is optional XtProducts (l <= n only): Xt.XtC is then set to
+    X^T C = (X^T G) M, with X^T G formed from the X^T products.
     """
     mu = state.mu
     if XW is None:
         XW = X @ state.W
-    G = (2.0 * Y - 2.0 * state.N + state.Lam + mu * XW) / (2.0 + mu)
+    G = _pull(Y, state.N, state.Lam, XW, mu)
+    M = _spectral_map(G, params, mu)
+    if Xt is not None:
+        XtG = _pull(Xt.XtY, Xt.XtN, Xt.XtLam, Xt.XtXW, mu)
+        Xt.XtC = XtG if M is None else XtG @ M
+    if M is None:
+        return G
+    return M @ G if G.shape[1] > G.shape[0] else G @ M
+
+
+def _spectral_map(G: np.ndarray, params: SchirnParams, mu: float):
+    """The C step's map: C = G M (M @ G when G is wide); None when C = G."""
     shift = _c_shift_amount(params, mu)
     if params.variant is Variant.NO_RANK or shift == 0.0:
-        return G
+        return None
     wide = G.shape[1] > G.shape[0]
     _, k = np.frexp(max(G.max(), -G.min()))
     eig = _gram_eig(np.ldexp(G, -k), dual=wide)
@@ -321,18 +408,21 @@ def update_c(state: SolverState, X: np.ndarray, Y: np.ndarray, params: SchirnPar
         f = np.maximum(0.0, s - shift)
     else:
         f = s + shift
-    M = (V * (f / s)) @ V.T
-    return M @ G if wide else G @ M
+    return (V * (f / s)) @ V.T
 
 
-def update_lagrange(state: SolverState, X: np.ndarray, params: SchirnParams, XW=None) -> tuple[np.ndarray, float]:
+def update_lagrange(state: SolverState, X: np.ndarray, params: SchirnParams, XW=None,
+                    Xt=None) -> tuple[np.ndarray, float]:
     """Multiplier ascent with the pre-update mu, then the geometric mu step.
 
-    ``XW`` is an optional precomputed X @ state.W.
+    ``XW`` is an optional precomputed X @ state.W. ``Xt`` is optional
+    XtProducts whose X^T Lam takes the same step.
     """
     if XW is None:
         XW = X @ state.W
     new_lam = state.Lam + state.mu * (XW - state.C)
+    if Xt is not None:
+        Xt.XtLam = Xt.XtLam + state.mu * (Xt.XtXW - Xt.XtC)
     new_mu = min(params.mu_max, params.rho * state.mu)
     return new_lam, new_mu
 
@@ -362,14 +452,19 @@ def objective(state: SolverState, X: np.ndarray, Y: np.ndarray, params: SchirnPa
     return fit_term + sparsity_term + rank_term + ridge_term
 
 
-def fit(ds, params: SchirnParams) -> Model:
+def fit(ds, params: SchirnParams, trace: str = "residual") -> Model:
     """Run the full ALM loop on a dataset; deterministic for fixed inputs.
 
     Executes max_iter iterations of W -> N -> C -> multiplier -> penalty
     (or stops early once the relative primal residual ||XW - C||_F /
     max(1, ||C||_F) drops to tol, when tol > 0) and returns the weight
-    matrix together with the objective and residual traces.
+    matrix together with the objective and residual traces. With
+    trace="none" both traces stay empty and the objective is never
+    evaluated; everything else is bit-identical to the default "residual".
     """
+    if trace not in TRACE_LEVELS:
+        raise ValueError(f"trace must be one of {TRACE_LEVELS}, got {trace!r}")
+    traced = trace == "residual"
     X = as_matrix(ds.X, "X")
     Y = as_matrix(ds.Y, "Y")
     if X.shape[0] != Y.shape[0]:
@@ -380,29 +475,34 @@ def fit(ds, params: SchirnParams) -> Model:
     state = _initial_state(n, d, l, params)
     dual = d > n  # factor the smaller Gram matrix
     eig = _gram_eig(X, dual)
-    R = np.linalg.qr(X, mode="r")
+    R = np.linalg.qr(X, mode="r") if traced and _nuclear_sign(params.variant) != 0.0 else None
+    Xt = XtProducts.start(X, Y, state) if not dual and l <= n else None
 
     report = FitReport()
+    XW = np.zeros((n, l))  # X @ W for W = 0, the final rank when max_iter = 0
     for _ in range(params.max_iter):
-        state.W = update_w(state, X, params, eig=eig, dual=dual)
+        state.W = update_w(state, X, params, eig=eig, dual=dual, Xt=Xt)
         XW = X @ state.W
-        state.N = update_n(state, Y, params)
-        state.C = update_c(state, X, Y, params, XW=XW)
-        state.Lam, state.mu = update_lagrange(state, X, params, XW=XW)
+        state.N = update_n(state, Y, params, Xt=Xt)
+        state.C = update_c(state, X, Y, params, XW=XW, Xt=Xt)
+        state.Lam, state.mu = update_lagrange(state, X, params, XW=XW, Xt=Xt)
         state.iter += 1
         if report.first_noise_iter is None and state.N.any():
             report.first_noise_iter = state.iter
 
-        report.objective_trace.append(objective(state, X, Y, params, XW=XW, R=R))
-        residual = float(
-            np.linalg.norm(XW - state.C, "fro") / max(1.0, np.linalg.norm(state.C, "fro"))
-        )
-        report.primal_residual_trace.append(residual)
-        if params.tol > 0 and residual <= params.tol:
-            break
+        if traced:
+            report.objective_trace.append(objective(state, X, Y, params, XW=XW, R=R))
+        if traced or params.tol > 0:
+            residual = float(
+                np.linalg.norm(XW - state.C, "fro") / max(1.0, np.linalg.norm(state.C, "fro"))
+            )
+            if traced:
+                report.primal_residual_trace.append(residual)
+            if params.tol > 0 and residual <= params.tol:
+                break
 
     report.iterations_run = state.iter
-    report.final_rank_XW = numerical_rank(X @ state.W)
+    report.final_rank_XW = numerical_rank(XW)
     return Model(W=state.W, params=params, report=report, noise=state.N)
 
 
@@ -416,9 +516,14 @@ def predict_scores(model: Model, X_test) -> np.ndarray:
     return X @ model.W
 
 
+def binarize(scores: np.ndarray, threshold: float) -> np.ndarray:
+    """Binary predictions from scores: 1 iff the score strictly exceeds the threshold."""
+    return (scores > threshold).astype(np.float64)
+
+
 def predict_labels(model: Model, X_test) -> np.ndarray:
-    """Binary predictions: 1 iff score strictly exceeds the threshold."""
-    return (predict_scores(model, X_test) > model.params.threshold).astype(np.float64)
+    """binarize(predict_scores(model, X_test), model.params.threshold)."""
+    return binarize(predict_scores(model, X_test), model.params.threshold)
 
 
 def save_model(model: Model, out_dir) -> None:

@@ -253,6 +253,25 @@ class TestCv:
         frozen = run_cv(ds, SchirnParams(**base, variant=Variant.NO_SPARSITY), k_folds=5, seed=0)
         assert full.mean["average_precision"] > frozen.mean["average_precision"]
 
+    @pytest.mark.parametrize("variant", ["high-rank", "no-rank", "no-sparsity", "low-rank"])
+    def test_untraced_fits_give_the_same_outcome(self, variant, monkeypatch):
+        # run_cv fits with trace="none"; forcing the default level changes nothing
+        from schirn import cli
+
+        ds, _ = make_synth(60, 8, 6, r=1, seed=0)
+        params = SchirnParams(alpha=0.5, beta=0.5, variant=variant)
+        levels = []
+
+        def traced_fit(ds_, params_, trace="residual"):
+            levels.append(trace)
+            return fit(ds_, params_)
+
+        untraced = cli.run_cv(ds, params, k_folds=3, seed=0)
+        monkeypatch.setattr(cli, "fit", traced_fit)
+        traced = cli.run_cv(ds, params, k_folds=3, seed=0)
+        assert levels == ["none"] * 3
+        assert traced == untraced
+
 
 class TestGrid:
     def test_singleton_grid_matches_cv(self, synth_files, tmp_path):

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schirn import Dataset, SchirnParams, Variant, fit, load_model, save_model
+from schirn import Dataset, SchirnParams, Variant, fit, load_model, save_model, solver
 from schirn.linalg import numerical_rank, sym_eig
 from schirn.solver import (
     SolverState,
+    binarize,
     objective,
     predict_labels,
     predict_scores,
@@ -688,6 +689,88 @@ class TestFitMatchesReferenceLoop:
                            (model.report.primal_residual_trace, residuals)]:
             assert np.all(np.abs(np.array(trace) - ref) <= 1e-10 * np.abs(ref))
 
+    @pytest.mark.parametrize("shape, seed", [((40, 6, 5), 0), ((60, 10, 8), 1), ((120, 20, 10), 0)],
+                             ids=["40x6x5", "60x10x8", "120x20x10"])
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_long_run_drift_of_dxl_route(self, shape, seed, variant):
+        # d <= n and l <= n: the W step reads the recursively kept X^T products
+        # for 1000 iterations. W is compared through X W because on some
+        # instances W collapses to ~0, where a relative bound on W means nothing.
+        ds, _ = make_synth(*shape, r=1, seed=seed)
+        params = default_params(alpha=0.5, beta=0.5, lam=10.0, variant=variant, max_iter=1000)
+        model = fit(ds, params)
+        W, N, _, _ = reference_fit(ds, params)
+        assert np.array_equal(model.noise, N)
+        scale = max(np.linalg.norm(ds.X @ W), np.linalg.norm(ds.Y))
+        assert np.linalg.norm(ds.X @ (model.W - W)) <= 1e-10 * scale
+
+
+class TestXtProducts:
+    """The d x l products that fit keeps equal X^T times their n x l iterates, up to rounding."""
+
+    def test_products_track_iterates_as_noise_flips_both_ways(self, monkeypatch):
+        # on this instance N gains entries from iteration ~40 and loses some
+        # after ~80, so the row update of X^T N runs in both directions
+        ds, _ = make_synth(60, 10, 8, r=1, seed=1)
+        X = ds.X
+        flips = []
+        errors = []
+        update_n, update_lagrange = solver.update_n, solver.update_lagrange
+
+        def spy_n(state, Y, params, Xt=None):
+            N = update_n(state, Y, params, Xt=Xt)
+            assert Xt is not None
+            flips.append(((N > state.N).any(), (N < state.N).any()))
+            return N
+
+        def spy_lagrange(state, X_, params, XW=None, Xt=None):
+            Lam, mu = update_lagrange(state, X_, params, XW=XW, Xt=Xt)
+            for kept, iterate in [(Xt.XtN, state.N), (Xt.XtC, state.C), (Xt.XtLam, Lam),
+                                  (Xt.XtXW, X @ state.W), (Xt.XtY, ds.Y)]:
+                direct = X.T @ iterate
+                errors.append(np.linalg.norm(kept - direct) / max(1.0, np.linalg.norm(direct)))
+            return Lam, mu
+
+        monkeypatch.setattr(solver, "update_n", spy_n)
+        monkeypatch.setattr(solver, "update_lagrange", spy_lagrange)
+        fit(ds, default_params(alpha=0.5, beta=0.5, lam=10.0))
+        assert sum(gained for gained, _ in flips) >= 2
+        assert sum(lost for _, lost in flips) >= 2
+        assert max(errors) <= 1e-12
+
+
+class TestTraceLevels:
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_none_changes_nothing_but_the_traces(self, variant):
+        ds, _ = make_synth(40, 6, 5, r=1, seed=0)
+        params = default_params(alpha=0.5, beta=0.5, variant=variant)
+        full = fit(ds, params)
+        bare = fit(ds, params, trace="none")
+        assert np.array_equal(bare.W, full.W)
+        assert np.array_equal(bare.noise, full.noise)
+        for name in ("iterations_run", "first_noise_iter", "final_rank_XW"):
+            assert getattr(bare.report, name) == getattr(full.report, name)
+        assert bare.report.objective_trace == [] and bare.report.primal_residual_trace == []
+        assert len(full.report.objective_trace) == full.report.iterations_run
+        # the final rank is that of the last iteration's X W
+        assert full.report.final_rank_XW == numerical_rank(ds.X @ full.W)
+
+    def test_none_stops_at_the_same_iteration(self):
+        ds, _ = make_synth(50, 8, 5, r=1, seed=3)
+        params = default_params(tol=0.5)
+        full = fit(ds, params)
+        bare = fit(ds, params, trace="none")
+        assert full.report.iterations_run < params.max_iter
+        assert bare.report.iterations_run == full.report.iterations_run
+        assert np.array_equal(bare.W, full.W)
+        assert bare.report.primal_residual_trace == []
+
+    @pytest.mark.parametrize("level", ["full", "", "None", None])
+    def test_unknown_level_raises(self, level):
+        ds, _ = make_synth(12, 4, 3, r=1, seed=0)
+        with pytest.raises(ValueError, match="trace"):
+            fit(ds, default_params(max_iter=1), trace=level)
+
 
 class TestPredict:
     def test_zero_weights(self):
@@ -715,6 +798,14 @@ class TestPredict:
         labels = predict_labels(model, np.array([[1.0, 1.2]]))
         # scores (0.5, 0.6): exactly-0.5 maps to 0, above maps to 1
         assert np.array_equal(labels, [[0.0, 1.0]])
+        assert np.array_equal(binarize(np.array([[0.5, 0.6, -1.0]]), 0.5), [[0.0, 1.0, 0.0]])
+
+    def test_labels_are_binarized_scores(self):
+        ds, _ = make_synth(30, 5, 4, r=1, seed=13)
+        model = fit(ds, default_params(max_iter=10, threshold=0.3))
+        labels = predict_labels(model, ds.X)
+        assert np.array_equal(labels, binarize(predict_scores(model, ds.X), 0.3))
+        assert 0 < labels.sum() < labels.size
 
     def test_dimension_mismatch(self):
         ds, _ = make_synth(10, 3, 2, r=0, seed=10)
