@@ -1,13 +1,26 @@
 """Dataset representation, matrix text I/O, noise injection, and fold splitting.
 
-Matrix text format: first line ``<rows> <cols>`` (ASCII decimal, single
-space), then ``rows`` lines of ``cols`` whitespace-separated numbers.
-Feature files accept plain decimals and scientific notation; label files
-only the tokens ``0`` and ``1``. UTF-8, LF or CRLF line endings, trailing
-newline optional. A dataset on disk is a (features, labels) file pair plus
-an optional ground-truth labels file.
+Matrix text format: a header line ``<rows> <cols>`` (two positive ASCII
+decimal integers), then ``rows`` lines of ``cols`` tokens; blank lines are
+allowed only at the end. The file is UTF-8, lines are those of
+``str.splitlines`` and tokens those of ``str.split``. A feature token is
+anything ``float`` accepts, with non-finite values rejected; a label token
+is exactly ``0`` or ``1``. A dataset on disk is a (features, labels) file
+pair plus an optional ground-truth labels file.
+
+``load_matrix`` parses a plain file (ASCII digits, signs, points, exponents,
+spaces, tabs, LF or CRLF; every file ``save_matrix`` writes) in bulk with
+numpy. It reads the bytes once, in blocks of whole lines that it checks
+before numpy sees them, so it never holds more than a block of the text.
+Any other file goes to the row loop, one ``float`` per token. The loop
+stays because it states the full language above (``1_000``, non-ASCII
+digits, a form feed as a line break) and because it is the only error
+reporter, so a malformed file gets the same message and line number
+whichever path saw it first.
 """
 
+import io
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -120,8 +133,77 @@ def load_matrix(path, *, binary: bool = False) -> np.ndarray:
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        out = _parse_bulk(fh, binary)
+    if out is None:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        out = _parse_rows(path, lines, binary)
+    return out
+
+
+_BLOCK = 1 << 20  # bytes of text the bulk parser holds at a time
+_BLANK = b" \t\r\n"
+_HEADER_BYTES = b"0123456789" + _BLANK
+_FLOAT_BYTES = b"+-.eE" + _HEADER_BYTES
+_LABEL_BYTES = b"01" + _BLANK
+_LABEL_PAIRS = (b"00", b"01", b"10", b"11")
+
+
+class _NotPlain(ValueError):
+    """A block of the file is outside the plain subset."""
+
+
+def _parse_bulk(fh, binary: bool) -> np.ndarray | None:
+    """Parse a plain file with numpy in blocks of whole lines; ``None`` sends it to the row loop.
+
+    Plain means: a header of two ASCII numbers, a body of only the bytes in
+    ``_FLOAT_BYTES`` (``_LABEL_BYTES`` with no two digits adjacent for label
+    files), CR only before LF, and as many body lines before any trailing
+    blank ones as the header says. In that subset numpy and ``float`` both
+    parse a token with ``PyOS_string_to_double``, so the values are
+    bit-identical; numpy's result must still have the header's shape and be
+    finite.
+    """
+    header = fh.readline()
+    tokens = header.split()
+    if (len(tokens) != 2 or header.translate(None, _HEADER_BYTES) or not header.endswith(b"\n")
+            or header.count(b"\r") != header.count(b"\r\n")):
+        return None
+    rows, cols = int(tokens[0]), int(tokens[1])
+    allowed = _LABEL_BYTES if binary else _FLOAT_BYTES
+    filled = 0  # body lines up to the last one that is not blank
+
+    def body_lines():
+        nonlocal filled
+        seen = 0  # line feeds in the blocks before this one
+        while block := fh.read(_BLOCK) + fh.readline():
+            if (block.translate(None, allowed)
+                    or b"\r" in block and block.count(b"\r") != block.count(b"\r\n")
+                    or binary and any(pair in block for pair in _LABEL_PAIRS)):
+                raise _NotPlain
+            text = block.rstrip(_BLANK)
+            if text:
+                filled = seen + text.count(b"\n") + 1
+            seen += block.count(b"\n")
+            yield from io.BytesIO(block)
+
+    lines = body_lines()
+    try:
+        # a plain body starts with a data line, so numpy never sees an empty input
+        first = next(lines, b"")
+        if not first.strip():
+            return None
+        out = np.loadtxt(itertools.chain([first], lines), comments=None, ndmin=2)
+    except ValueError:  # numpy's parse errors, and _NotPlain
+        return None
+    if filled != rows or out.shape != (rows, cols) or not np.isfinite(out).all():
+        return None
+    return out
+
+
+def _parse_rows(path: Path, lines: list[str], binary: bool) -> np.ndarray:
+    """The general parser and the only error reporter: one ``float`` per token."""
     if not lines:
         raise MatrixFormatError(path, 1, "empty file; expected '<rows> <cols>' header")
     header = lines[0].split()
@@ -179,14 +261,16 @@ def save_matrix(path, a, *, binary: bool = False) -> None:
     A = as_matrix(a)
     if binary:
         _check_binary(A, "matrix")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{A.shape[0]} {A.shape[1]}\n")
-        for row in A.tolist():
-            if binary:
-                fh.write(" ".join(str(int(v)) for v in row))
-            else:
-                fh.write(" ".join(map(repr, row)))
-            fh.write("\n")
+        # each entry is one digit and one separator, the row's last one a newline
+        cells = np.full((A.shape[0], 2 * A.shape[1]), ord(" "), dtype=np.uint8)
+        cells[:, ::2] = A + ord("0")
+        cells[:, -1] = ord("\n")
+        body = cells.tobytes()
+    else:
+        body = "".join([" ".join(map(repr, row)) + "\n" for row in A.tolist()]).encode("ascii")
+    with open(path, "wb") as fh:
+        fh.write(f"{A.shape[0]} {A.shape[1]}\n".encode("ascii"))
+        fh.write(body)
 
 
 def load_dataset(

@@ -1,9 +1,15 @@
+import warnings
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import schirn.data
+from schirn.cli import main
 from schirn.data import (
     Dataset,
     MatrixFormatError,
@@ -17,6 +23,102 @@ from schirn.data import (
     save_matrix,
     standardize,
 )
+from schirn.linalg import as_matrix
+
+
+# The row-by-row reader and writer as they were before the bulk path, kept
+# verbatim as the oracles for the token language, the error reports and the
+# output bytes.
+
+def reference_load_matrix(path, *, binary: bool = False) -> np.ndarray:
+    """Parse a matrix text file; ``binary=True`` restricts tokens to 0/1."""
+    path = Path(path)
+    if not path.is_file():
+        raise FileNotFoundError(f"file not found: {path}")
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise MatrixFormatError(path, 1, "empty file; expected '<rows> <cols>' header")
+    header = lines[0].split()
+    if len(header) != 2 or not all(tok.isascii() and tok.isdigit() for tok in header):
+        raise MatrixFormatError(path, 1, f"malformed header {lines[0]!r}; expected '<rows> <cols>'")
+    rows, cols = int(header[0]), int(header[1])
+    if rows < 1 or cols < 1:
+        raise MatrixFormatError(path, 1, f"dimensions must be positive, got {rows} x {cols}")
+
+    body = lines[1:]
+    # tolerate blank lines only at EOF
+    while body and not body[-1].strip():
+        body.pop()
+    if len(body) != rows:
+        raise MatrixFormatError(
+            path, len(lines), f"row count mismatch: header says {rows}, body has {len(body)}"
+        )
+
+    out = np.empty((rows, cols), dtype=np.float64)
+    for i, line in enumerate(body):
+        line_no = i + 2
+        tokens = line.split()
+        if len(tokens) != cols:
+            raise MatrixFormatError(
+                path, line_no, f"expected {cols} values, found {len(tokens)}"
+            )
+        if binary:
+            for tok in tokens:
+                if tok != "0" and tok != "1":
+                    raise MatrixFormatError(
+                        path, line_no, f"label entry must be 0 or 1, got {tok!r}"
+                    )
+            out[i] = [float(t) for t in tokens]
+        else:
+            try:
+                out[i] = [float(t) for t in tokens]
+            except ValueError:
+                bad = next(t for t in tokens if not _is_float(t))
+                raise MatrixFormatError(path, line_no, f"non-numeric token {bad!r}") from None
+            if not np.isfinite(out[i]).all():
+                raise MatrixFormatError(path, line_no, "non-finite value")
+    return out
+
+
+def _is_float(tok: str) -> bool:
+    try:
+        float(tok)
+    except ValueError:
+        return False
+    return True
+
+
+def reference_save_matrix(path, a, *, binary: bool = False) -> None:
+    """Write a matrix in the text format; floats use shortest round-trip repr."""
+    A = as_matrix(a)
+    if binary:
+        schirn.data._check_binary(A, "matrix")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"{A.shape[0]} {A.shape[1]}\n")
+        for row in A.tolist():
+            if binary:
+                fh.write(" ".join(str(int(v)) for v in row))
+            else:
+                fh.write(" ".join(map(repr, row)))
+            fh.write("\n")
+
+
+def outcome(load, path, binary):
+    """What a reader makes of a file: the array's bytes, or the error it reports."""
+    try:
+        A = load(path, binary=binary)
+    except ValueError as exc:  # MatrixFormatError, and UnicodeDecodeError
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+    return A.shape, A.tobytes()
+
+
+def assert_same_as_reference(path, binary):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # neither reader may warn, e.g. numpy on an empty body
+        got = outcome(load_matrix, path, binary)
+        assert got == outcome(reference_load_matrix, path, binary)
+    return got
 
 
 class TestLoadMatrix:
@@ -122,6 +224,236 @@ class TestSaveLoadRoundTrip:
         p = tmp_path_factory.mktemp("rt") / "m.txt"
         save_matrix(p, A)
         assert np.array_equal(load_matrix(p), A)
+
+
+_SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+                   1e300, -1e300, 1.7976931348623157e308, 0.1, 1e16, 1e-5, 123456789.0]
+_SHAPES = hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6)
+
+
+class TestWriterBytes:
+    """``save_matrix`` writes the same bytes as the per-row writer it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(A=hnp.arrays(np.float64, _SHAPES, elements=st.one_of(
+        st.sampled_from(_SPECIAL_VALUES), st.floats(allow_nan=False, allow_infinity=False))))
+    def test_float_bytes(self, A, tmp_path_factory):
+        d = tmp_path_factory.mktemp("w")
+        save_matrix(d / "new.txt", A)
+        reference_save_matrix(d / "old.txt", A)
+        assert (d / "new.txt").read_bytes() == (d / "old.txt").read_bytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(A=hnp.arrays(np.float64, _SHAPES, elements=st.sampled_from([0.0, -0.0, 1.0])))
+    def test_binary_bytes(self, A, tmp_path_factory):
+        d = tmp_path_factory.mktemp("w")
+        save_matrix(d / "new.txt", A, binary=True)
+        reference_save_matrix(d / "old.txt", A, binary=True)
+        assert (d / "new.txt").read_bytes() == (d / "old.txt").read_bytes()
+
+    def test_binary_rejects_other_values(self, tmp_path):
+        with pytest.raises(ValueError, match="0/1"):
+            save_matrix(tmp_path / "y.txt", np.array([[0.0, 2.0]]), binary=True)
+        assert not (tmp_path / "y.txt").exists()
+
+
+# Tokens at the edges of Python's float() language: underscores, words,
+# signs, bare exponents, hex, overflow, non-ASCII decimal digits.
+_TOKENS = [
+    "0", "1", "-0", "+0", "00", "01", "10", "1.5", "+.5", "5.", ".5", "-.5e-3", "1e5", "1E+05",
+    "1e", "e5", ".", "-", "+", "+-1", "1.2.3", "1e5.0", "1_000", "1__0", "_1", "1_", "nan", "NaN",
+    "-nan", "inf", "-inf", "infinity", "+Infinity", "0x10", "0x1p3", "1e400", "-1e400", "1e-400",
+    "4.9e-324", "1.7976931348623157e308", "1.7976931348623159e308", "١٢٣", "٣.٥", "１２", "-１",
+    "1٣", "²", "½",
+]
+_TOKEN = st.one_of(
+    st.sampled_from(_TOKENS),
+    st.floats().map(repr),
+    st.floats(allow_nan=False).map("{:.3E}".format),
+    st.text(alphabet="0123456789+-.eE_xinfa١３", min_size=1, max_size=8),
+)
+
+
+class TestTokenLanguage:
+    """One token, read by the bulk path or the row loop: the same value or the same error."""
+
+    @pytest.mark.parametrize("binary", [False, True])
+    @pytest.mark.parametrize("token", _TOKENS)
+    def test_edge_tokens(self, tmp_path, token, binary):
+        p = tmp_path / "m.txt"
+        p.write_text(f"1 1\n{token}\n", encoding="utf-8")
+        assert_same_as_reference(p, binary)
+
+    def test_the_language_is_python_float(self, tmp_path):
+        p = tmp_path / "m.txt"
+        p.write_text("1 3\n1_000 ١٢ -0\n", encoding="utf-8")
+        A = load_matrix(p)
+        assert A.tolist() == [[1000.0, 12.0, 0.0]] and np.signbit(A[0, 2])
+        p.write_text("1 1\ninfinity\n", encoding="utf-8")
+        with pytest.raises(MatrixFormatError, match="non-finite"):
+            load_matrix(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(token=_TOKEN, binary=st.booleans())
+    def test_single_token(self, token, binary, tmp_path_factory):
+        d = tmp_path_factory.mktemp("tok")
+        (d / "alone.txt").write_text(f"1 1\n{token}\n", encoding="utf-8")
+        (d / "row.txt").write_text(f"1 3\n1 {token} 0\n", encoding="utf-8")
+        assert_same_as_reference(d / "alone.txt", binary)
+        assert_same_as_reference(d / "row.txt", binary)
+
+
+_SEPARATORS = [" ", "\t", "\x0b", "\x0c", "\x1c", "\u2003", "\x85"]
+_HEADERS = ["{r} {c}", "{r}\t{c}", "  {r}  {c} ", "0{r} {c}", "{r} {c} 1", "{r},{c}", "{r}",
+            "{r1} {c}", "{r} {c1}", "0 {c}", "{r} -{c}", "{r}\x0b{c}", "{r}\x1c{c}"]
+
+
+@st.composite
+def matrix_files(draw):
+    """(file bytes, binary): a small matrix in one of many layouts, most of them plain."""
+    binary = draw(st.booleans())
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if binary:
+        cell = st.sampled_from(["0", "1"])
+    else:
+        cell = st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False).map(repr),
+            st.floats(allow_nan=False, allow_infinity=False).map("{:.4e}".format),
+            st.sampled_from(["1e400", "-1e400", "+.5", "5.", "-0", "0", "7"]),
+        )
+    sep = st.one_of(st.just(" "), st.text(alphabet=_SEPARATORS, min_size=1, max_size=3))
+    margin = st.sampled_from(["", "", " ", "\t", "\x0c"])
+    ending = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+    blank = st.tuples(st.text(alphabet=" \t", max_size=2), ending).map("".join)
+    header = draw(st.sampled_from(_HEADERS)).format(r=rows, c=cols, r1=rows + 1, c1=cols + 1)
+    lines = [header + draw(ending)]
+    for _ in range(rows):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(blank))
+        tokens = draw(st.lists(cell, min_size=cols, max_size=cols))
+        line = draw(margin)
+        for i, tok in enumerate(tokens):
+            line += (draw(sep) if i else "") + tok
+        lines.append(line + draw(margin) + draw(ending))
+    lines += draw(st.lists(blank, max_size=2))
+    text = "".join(lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    if draw(st.integers(0, 9)) == 0:
+        text = "\ufeff" + text
+    return text.encode("utf-8"), binary
+
+
+class TestFileLayouts:
+    """Whole files: bit-identical arrays, or the same error message and line number."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=matrix_files(), block=st.sampled_from([1, 7, 64, schirn.data._BLOCK]))
+    def test_same_outcome_as_the_row_loop(self, case, block, tmp_path_factory):
+        raw, binary = case
+        p = tmp_path_factory.mktemp("layout") / "m.txt"
+        p.write_bytes(raw)
+        with mock.patch.object(schirn.data, "_BLOCK", block):
+            assert_same_as_reference(p, binary)
+
+    @pytest.mark.parametrize("raw", [
+        b"", b"\n", b"1 1", b"1 1\n", b"1 1\n\n", b"1 1\n \n2\n", b"\xef\xbb\xbf1 1\n2\n", b"1 1\n\xff\n",
+        b"1 1\n2\x00\n", b"1 1\n2\r\r\n", b"1 1\r2\n", b"2 1\n1\r2\n", b"1 2\n1\x0b2\n", b"1 1\n-\n",
+        b"1 1\n1e400\n", b"1\x0b1\n1\n", b"1\x0c1\n1\n", b"1\r1\n1\n", b"2 2\n\n\n", b"1 1\n\n1\n", b"1 1\n\xe2\x80\x832\n", b"99999999999999999999 1\n1\n",
+    ])
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_edge_files(self, tmp_path, raw, binary):
+        p = tmp_path / "m.txt"
+        p.write_bytes(raw)
+        assert_same_as_reference(p, binary)
+
+
+# (file bytes, exit code of ``eval`` against a 2x2 truth file)
+_CORPUS = {
+    "plain": (b"2 2\n0.5 0.25\n0.75 1e-3\n", 0),
+    "crlf_no_final_newline": (b"2 2\r\n0.5 0.25\r\n0.75 1e-3", 0),
+    "lone_cr": (b"2 2\r0.5 0.25\r0.75 1e-3\r", 0),
+    "underscore_digit": (b"2 2\n0.5 1_0\n0.75 1e-3\n", 0),
+    "ragged": (b"2 2\n0.5 0.25\n0.75\n", 2),
+    "nan": (b"2 2\n0.5 nan\n0.75 1e-3\n", 2),
+    "overflow": (b"2 2\n0.5 0.25\n1e400 1e-3\n", 2),
+    "bom": (b"\xef\xbb\xbf2 2\n0.5 0.25\n0.75 1e-3\n", 2),
+    "blank_in_body": (b"2 2\n0.5 0.25\n\n0.75 1e-3\n", 2),
+    "form_feed": (b"2 2\n0.5\x0c0.25\n0.75 1e-3\n", 2),
+    "bad_utf8": (b"2 2\n0.5 0.25\n0.75 \xff\n", 2),
+    "word": (b"2 2\n0.5 0.25\n0.75 abc\n", 2),
+    "header": (b"2 x\n0.5 0.25\n0.75 1e-3\n", 2),
+    "short": (b"3 2\n0.5 0.25\n0.75 1e-3\n", 2),
+    "empty": (b"", 2),
+}
+
+
+class TestCliExitCodes:
+    """The CLI's exit code, and a format error's message, on a small malformed corpus.
+
+    Exit code 1 is for numerical failures, which no file content causes; see
+    ``TestFit::test_numerical_failure_exits_1`` in the CLI tests.
+    """
+
+    @pytest.mark.parametrize("name", sorted(_CORPUS))
+    def test_eval_exit_code(self, tmp_path, capsys, name):
+        raw, code = _CORPUS[name]
+        save_matrix(tmp_path / "t.txt", np.array([[1.0, 0.0], [0.0, 1.0]]), binary=True)
+        scores = tmp_path / "s.txt"
+        scores.write_bytes(raw)
+        rc = main(["eval", "--scores", str(scores), "--truth", str(tmp_path / "t.txt"),
+                   "--out", str(tmp_path / "r.json")])
+        assert rc == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == "" and (tmp_path / "r.json").is_file()
+        else:
+            with pytest.raises(ValueError) as expected:
+                reference_load_matrix(scores)
+            assert err == f"error: {expected.value}\n"
+
+
+class TestBulkPath:
+    """Files ``save_matrix`` writes never reach the row loop, whose cost the bulk path removes."""
+
+    @pytest.fixture
+    def no_row_loop(self, monkeypatch):
+        def fail(path, lines, binary):
+            raise AssertionError(f"{path} went through the row loop")
+
+        monkeypatch.setattr(schirn.data, "_parse_rows", fail)
+
+    @pytest.mark.parametrize("block", [16, schirn.data._BLOCK])
+    @pytest.mark.parametrize("layout", ["as_written", "crlf", "no_final_newline", "trailing_blank_lines"])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (13, 5), (12, 11)])
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_saved_files_skip_the_row_loop(self, tmp_path, monkeypatch, no_row_loop, binary, shape, layout, block):
+        monkeypatch.setattr(schirn.data, "_BLOCK", block)
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        if binary:
+            A = (rng.random(shape) < 0.5).astype(float)
+        else:
+            A = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+            A.flat[0], A.flat[-1] = -0.0, 5e-324
+        p = tmp_path / "m.txt"
+        save_matrix(p, A, binary=binary)
+        raw = p.read_bytes()
+        p.write_bytes({
+            "as_written": raw,
+            "crlf": raw.replace(b"\n", b"\r\n"),
+            "no_final_newline": raw[:-1],
+            "trailing_blank_lines": raw + b"\n \t\r\n\n",
+        }[layout])
+        assert load_matrix(p, binary=binary).tobytes() == A.tobytes()
+
+    def test_other_files_reach_the_row_loop(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(schirn.data, "_parse_rows",
+                            lambda path, lines, binary: seen.append(lines) or np.ones((1, 1)))
+        p = tmp_path / "m.txt"
+        p.write_text("1 1\n1_000\n")
+        load_matrix(p)
+        assert seen == [["1 1", "1_000"]]
 
 
 class TestDataset:
