@@ -5,13 +5,16 @@ The Monte-Carlo checker exercises the rank chain behind the method's
 premise: for full-rank binary Y and binary N with N <= Y,
 rank(Y - N) >= rank(Y) - rank(N) >= min(n, l) - rank(N). A reported
 violation indicates a numerical-rank tolerance bug, not a counterexample.
+
+`paired_ttest` is the package's only use of scipy (`scipy.special.betainc`),
+and it imports it when called. No CLI command runs it, so importing `schirn`
+or `schirn.cli` loads no scipy.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from .linalg import numerical_rank
 from .solver import Model, binarize, predict_scores
@@ -163,6 +166,10 @@ def paired_ttest(a, b, alpha_level: float = 0.05) -> TTestResult:
             return TTestResult(t_stat=0.0, p_value=1.0, verdict="tie")
         t = math.inf if mean > 0 else -math.inf
         return TTestResult(t_stat=t, p_value=0.0, verdict="win" if mean > 0 else "loss")
+
+    # Imported here, not at module level: importing scipy.special is most of
+    # the package's start-up time, and no CLI command runs a t-test.
+    from scipy.special import betainc
 
     t = mean / (sd / math.sqrt(diff.size))
     nu = diff.size - 1

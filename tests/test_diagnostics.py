@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+import schirn
 from schirn import SchirnParams, fit
 from schirn.diagnostics import paired_ttest, rank_report, verify_rank_theorem
 from schirn.linalg import numerical_rank
@@ -78,6 +83,23 @@ class TestPairedTTest:
     def test_rejects_bad_inputs(self, a, b, alpha):
         with pytest.raises(ValueError):
             paired_ttest(a, b, alpha)
+
+
+@pytest.mark.parametrize("module", ["schirn", "schirn.cli"])
+def test_import_loads_no_scipy(module):
+    """scipy serves only paired_ttest; importing the package or the CLI must
+    not pay its start-up cost."""
+    src = str(Path(schirn.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        f"import sys, {module}\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestVerifyRankTheorem:
