@@ -25,7 +25,7 @@ from .data import (Dataset, MatrixFormatError, NoiseSpec, describe, drop_empty_t
 from .diagnostics import rank_report, verify_rank_theorem
 from .linalg import NumericalError
 from .metrics import evaluate_all
-from .solver import SchirnParams, Variant, binarize, fit, load_model, predict_scores, save_model
+from .solver import Prefix, SchirnParams, Variant, binarize, fit, load_model, predict_scores, save_model
 
 __all__ = ["main", "run_ablate", "run_cv", "run_grid"]
 
@@ -181,17 +181,29 @@ def run_cv(ds: Dataset, params: SchirnParams, k_folds: int, seed: int) -> CvOutc
     candidate matrix; the outcome records which. The fits skip their
     traces (trace="none"), which nothing here reads.
     """
+    return _run_cvs(ds, [params], k_folds, seed)[0]
+
+
+def _run_cvs(ds: Dataset, params_list, k_folds: int, seed: int) -> list[CvOutcome]:
+    """run_cv for each params on the same folds; a fold's fits run in list order and
+    share their zero-noise prefixes (solver.Prefix), so list ascending alphas together."""
     split = kfold_split(ds.n, k_folds, seed=seed + 1)
     target = ds.Y_true if ds.Y_true is not None else ds.Y
     eval_target = "truth" if ds.Y_true is not None else "candidates"
-    reports = []
+    reports = [[] for _ in params_list]
     for fold in range(k_folds):
         tr = split.train_indices(fold)
         te = split.test_indices(fold)
-        model = fit(Dataset(X=ds.X[tr], Y=ds.Y[tr]), params, trace="none")
-        scores = predict_scores(model, ds.X[te])
-        reports.append(evaluate_all(scores, binarize(scores, params.threshold), target[te]))
+        train, X_test, T_test = Dataset(X=ds.X[tr], Y=ds.Y[tr]), ds.X[te], target[te]
+        prefix = Prefix()
+        for params, fold_reports in zip(params_list, reports):
+            model = fit(train, params, trace="none", prefix=prefix)
+            scores = predict_scores(model, X_test)
+            fold_reports.append(evaluate_all(scores, binarize(scores, params.threshold), T_test))
+    return [_cv_outcome(fold_reports, eval_target) for fold_reports in reports]
 
+
+def _cv_outcome(reports, eval_target: str) -> CvOutcome:
     mean = {}
     std = {}
     for name in METRIC_FIELDS:
@@ -204,7 +216,10 @@ def run_cv(ds: Dataset, params: SchirnParams, k_folds: int, seed: int) -> CvOutc
 def run_grid(ds: Dataset, params: SchirnParams, k_folds: int, seed: int, alphas, betas, lambdas) -> list[dict]:
     """Evaluate the full Cartesian product of the grids by CV mean average precision.
 
-    A grid list given as None is its default search range.
+    A grid list given as None is its default search range. The cells of
+    each (beta, lambda) run in ascending alpha, so each resumes from the
+    zero-noise prefix of the one before; the rows are those of one run_cv
+    per cell.
     """
     alphas = DEFAULT_GRID_ALPHA if alphas is None else alphas
     betas = DEFAULT_GRID_BETA if betas is None else betas
@@ -212,10 +227,12 @@ def run_grid(ds: Dataset, params: SchirnParams, k_folds: int, seed: int, alphas,
     for name, lst in (("alpha", alphas), ("beta", betas), ("lambda", lambdas)):
         if not lst:
             raise ValueError(f"grid list for {name} is empty")
-    rows = []
-    for a, b, lam in product(alphas, betas, lambdas):
-        outcome = run_cv(ds, replace(params, alpha=a, beta=b, lam=lam), k_folds, seed)
-        rows.append({"alpha": a, "beta": b, "lambda": lam, "mean": outcome.mean, "std": outcome.std})
+    cells = list(product(alphas, betas, lambdas))
+    order = sorted(range(len(cells)), key=lambda i: (cells[i][1], cells[i][2], cells[i][0]))
+    chain = [replace(params, alpha=a, beta=b, lam=lam) for a, b, lam in (cells[i] for i in order)]
+    by_cell = dict(zip(order, _run_cvs(ds, chain, k_folds, seed)))
+    rows = [{"alpha": a, "beta": b, "lambda": lam, "mean": by_cell[i].mean, "std": by_cell[i].std}
+            for i, (a, b, lam) in enumerate(cells)]
     rows.sort(key=lambda r: (-r["mean"]["average_precision"], r["alpha"], r["beta"], r["lambda"]))
     for i, row in enumerate(rows):
         row["best"] = i == 0
@@ -223,15 +240,15 @@ def run_grid(ds: Dataset, params: SchirnParams, k_folds: int, seed: int, alphas,
 
 
 ABLATION_ORDER = (Variant.HIGH_RANK, Variant.NO_RANK, Variant.NO_SPARSITY, Variant.LOW_RANK)
+# no-sparsity right after high-rank resumes from its zero-noise prefix
+_ABLATION_RUN_ORDER = (Variant.HIGH_RANK, Variant.NO_SPARSITY, Variant.NO_RANK, Variant.LOW_RANK)
 
 
 def run_ablate(ds: Dataset, params: SchirnParams, k_folds: int, seed: int) -> list[dict]:
     """Four CV runs differing only in the variant, same seed and folds."""
-    rows = []
-    for variant in ABLATION_ORDER:
-        outcome = run_cv(ds, replace(params, variant=variant), k_folds, seed)
-        rows.append({"variant": variant.value, "mean": outcome.mean, "std": outcome.std})
-    return rows
+    outcomes = _run_cvs(ds, [replace(params, variant=v) for v in _ABLATION_RUN_ORDER], k_folds, seed)
+    by_variant = dict(zip(_ABLATION_RUN_ORDER, outcomes))
+    return [{"variant": v.value, "mean": by_variant[v].mean, "std": by_variant[v].std} for v in ABLATION_ORDER]
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,25 @@ fit(..., trace="none") skips the diagnostics: no objective, no stored
 residual and no QR factor. The residual is still formed when tol > 0,
 because the early stop reads it.
 
+Shared prefixes. While N = 0, alpha has no effect on the iterates: it
+enters only the N step's threshold, and a zero N adds alpha * 0 = 0 to the
+objective. So a run with a larger alpha repeats, bit for bit, every
+iterate of a run with a smaller one up to the state after iteration
+f - 1, where f is the first iteration whose N step gives the smaller-alpha
+run a non-zero N: the same C has not crossed the smaller threshold, so it
+cannot cross the larger one. No-sparsity counts as alpha = infinity: its
+C step is high-rank's, and its frozen N = 0 is high-rank's N before
+iteration f. The two runs must agree on the training arrays, the trace
+level and every other SchirnParams field but threshold (which fit does
+not read), high-rank and no-sparsity counting as one variant.
+fit(..., prefix=Prefix()) hands out that state (the branch state, the
+set-up included) and resumes from one in the same loop. A run whose N
+stayed zero hands out its final state instead, and a follower takes that
+result as its own, iteration count included: its iterates are the same up
+to there, so it would have stopped there too. Each block returns new
+arrays and never writes into the ones it was given, so a branch state
+holds the iterates by reference.
+
 Ablation variants: "high-rank" is the full method; "no-rank" drops the
 nuclear term (C = G); "no-sparsity" keeps the high-rank term but freezes
 N = 0; "low-rank" flips the nuclear term's sign so singular values are
@@ -61,12 +80,14 @@ shrunk instead of inflated.
 """
 
 import enum
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _EPS, as_matrix, numerical_rank, sym_eig
+from .linalg import _EPS, EigResult, as_matrix, numerical_rank, sym_eig
 
 __all__ = [
     "Variant",
@@ -75,6 +96,7 @@ __all__ = [
     "XtProducts",
     "FitReport",
     "Model",
+    "Prefix",
     "fit",
     "update_w",
     "update_n",
@@ -217,11 +239,12 @@ class XtProducts:
         return cls(X=X, XtY=X.T @ Y, XtN=X.T @ state.N, XtC=X.T @ state.C, XtLam=X.T @ state.Lam)
 
     def change_noise(self, N_new: np.ndarray, N_old: np.ndarray) -> None:
-        """X^T N += X^T (N_new - N_old), over the rows where N changed."""
+        """X^T N + X^T (N_new - N_old), over the rows where N changed, as a new X^T N."""
         changed = np.flatnonzero(N_new != N_old)
         if changed.size:
-            rows = np.unique(changed // N_new.shape[1])
-            self.XtN += self.X[rows].T @ (N_new[rows] - N_old[rows])
+            # the changed rows, ascending; np.unique would import numpy.ma (about 12 ms, once per process)
+            rows = np.flatnonzero(np.bincount(changed // N_new.shape[1]))
+            self.XtN = self.XtN + self.X[rows].T @ (N_new[rows] - N_old[rows])
 
 
 @dataclass
@@ -247,6 +270,67 @@ class Model:
     report: FitReport
     # final noise-label matrix from the fit; None for models loaded from disk
     noise: np.ndarray | None = None
+
+
+class _Branch(NamedTuple):
+    """A fit's state after its last iteration with N = 0, with the fit's set-up.
+
+    N is zero by definition and is not kept. XW, the final X W, is kept only
+    when the fit ended at this state (N stayed zero throughout): a follower
+    then takes this result, final rank included, and runs no iteration.
+    """
+
+    X: np.ndarray
+    Y: np.ndarray
+    key: tuple
+    alpha: float
+    eig: EigResult
+    R: np.ndarray | None
+    W: np.ndarray
+    C: np.ndarray
+    Lam: np.ndarray
+    mu: float
+    iter: int
+    Xt: XtProducts | None
+    traces: tuple[list[float], list[float]]
+    XW: np.ndarray | None
+
+    @property
+    def finished(self) -> bool:
+        return self.XW is not None
+
+    def leads(self, X, Y, key, alpha) -> bool:
+        """Whether a fit of alpha on (X, Y) with this key repeats the branch's iterates."""
+        return self.X is X and self.Y is Y and self.key == key and alpha >= self.alpha
+
+    def resume(self) -> tuple[SolverState, XtProducts | None, FitReport]:
+        """Fresh containers for a follower; W is copied because a Model returns it."""
+        state = SolverState(W=self.W.copy(), N=np.zeros_like(self.C), C=self.C, Lam=self.Lam, mu=self.mu,
+                            iter=self.iter)
+        report = FitReport(objective_trace=list(self.traces[0]), primal_residual_trace=list(self.traces[1]))
+        return state, self.Xt and replace(self.Xt), report
+
+
+class Prefix:
+    """Carries the branch state from one fit to the next; see fit and the module docstring.
+
+    Give one Prefix to a run of fits on the same training arrays (the same
+    objects, left unchanged in between), in ascending alpha. A fit resumes
+    from the branch state of the previous fit when that one repeats its
+    prefix, starts over otherwise, and leaves its own branch state here.
+    """
+
+    branch: _Branch | None = None
+
+
+def _prefix_key(params: SchirnParams, trace: str) -> tuple:
+    """Everything two fits must share for their zero-noise prefixes to agree.
+
+    alpha is compared separately; threshold does not reach fit; no-sparsity
+    takes high-rank's C step.
+    """
+    variant = Variant.HIGH_RANK if params.variant is Variant.NO_SPARSITY else params.variant
+    return replace(params, alpha=1.0, threshold=0.5, variant=variant), trace
 
 
 def _initial_state(n: int, d: int, l: int, params: SchirnParams) -> SolverState:
@@ -452,7 +536,7 @@ def objective(state: SolverState, X: np.ndarray, Y: np.ndarray, params: SchirnPa
     return fit_term + sparsity_term + rank_term + ridge_term
 
 
-def fit(ds, params: SchirnParams, trace: str = "residual") -> Model:
+def fit(ds, params: SchirnParams, trace: str = "residual", prefix: Prefix | None = None) -> Model:
     """Run the full ALM loop on a dataset; deterministic for fixed inputs.
 
     Executes max_iter iterations of W -> N -> C -> multiplier -> penalty
@@ -461,6 +545,11 @@ def fit(ds, params: SchirnParams, trace: str = "residual") -> Model:
     matrix together with the objective and residual traces. With
     trace="none" both traces stay empty and the objective is never
     evaluated; everything else is bit-identical to the default "residual".
+
+    With a ``prefix``, the fit resumes from the branch state it holds when
+    that state's fit shares this one's zero-noise prefix, and leaves its
+    own branch state in it (module docstring). The result is bit-identical
+    to a fit without one.
     """
     if trace not in TRACE_LEVELS:
         raise ValueError(f"trace must be one of {TRACE_LEVELS}, got {trace!r}")
@@ -471,16 +560,31 @@ def fit(ds, params: SchirnParams, trace: str = "residual") -> Model:
         raise ValueError(f"X has {X.shape[0]} rows but Y has {Y.shape[0]}")
     n, d = X.shape
     l = Y.shape[1]
-
-    state = _initial_state(n, d, l, params)
     dual = d > n  # factor the smaller Gram matrix
-    eig = _gram_eig(X, dual)
-    R = np.linalg.qr(X, mode="r") if traced and _nuclear_sign(params.variant) != 0.0 else None
-    Xt = XtProducts.start(X, Y, state) if not dual and l <= n else None
+    lead = None
+    if prefix is not None:
+        key = _prefix_key(params, trace)
+        alpha = math.inf if params.variant is Variant.NO_SPARSITY else params.alpha
+        # taken out, not copied: this fit leaves its own branch state, so the old one need not outlive it
+        lead, prefix.branch = prefix.branch, None
+        if lead is not None and not lead.leads(X, Y, key, alpha):
+            lead = None
 
-    report = FitReport()
-    XW = np.zeros((n, l))  # X @ W for W = 0, the final rank when max_iter = 0
-    for _ in range(params.max_iter):
+    if lead is None:
+        state = _initial_state(n, d, l, params)
+        eig = _gram_eig(X, dual)
+        R = np.linalg.qr(X, mode="r") if traced and _nuclear_sign(params.variant) != 0.0 else None
+        Xt = XtProducts.start(X, Y, state) if not dual and l <= n else None
+        report = FitReport()
+        XW = np.zeros((n, l))  # X @ W for W = 0, the final rank when max_iter = 0
+    else:
+        state, Xt, report = lead.resume()
+        eig, R, XW = lead.eig, lead.R, lead.XW  # XW is None mid-run: the loop sets it before any use
+    # a finished lead's stop is this fit's stop: its next iteration would be one too many
+    end = state.iter if lead is not None and lead.finished else params.max_iter
+    for _ in range(state.iter, end):
+        if prefix is not None and report.first_noise_iter is None:
+            clean = state.W, state.C, state.Lam, state.mu, state.iter, Xt and replace(Xt)  # before this iteration
         state.W = update_w(state, X, params, eig=eig, dual=dual, Xt=Xt)
         XW = X @ state.W
         state.N = update_n(state, Y, params, Xt=Xt)
@@ -503,6 +607,13 @@ def fit(ds, params: SchirnParams, trace: str = "residual") -> Model:
 
     report.iterations_run = state.iter
     report.final_rank_XW = numerical_rank(XW)
+    if prefix is not None:
+        finished = report.first_noise_iter is None
+        if finished:
+            clean = state.W.copy(), state.C, state.Lam, state.mu, state.iter, Xt and replace(Xt)
+        at = clean[4]  # the branch state's iteration count
+        traces = report.objective_trace[:at], report.primal_residual_trace[:at]
+        prefix.branch = _Branch(X, Y, key, alpha, eig, R, *clean, traces, XW if finished else None)
     return Model(W=state.W, params=params, report=report, noise=state.N)
 
 

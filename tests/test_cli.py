@@ -1,16 +1,22 @@
 import csv
 import json
+from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
 
-from schirn import SchirnParams, fit
+from schirn import SchirnParams, Variant, fit
 from schirn.cli import (
+    ABLATION_ORDER,
     DEFAULT_GRID_ALPHA,
     DEFAULT_GRID_BETA,
     DEFAULT_GRID_LAMBDA,
     main,
     parse_config_file,
+    run_ablate,
+    run_cv,
+    run_grid,
 )
 from schirn.data import load_matrix, save_matrix
 from synthdata import make_synth
@@ -262,9 +268,9 @@ class TestCv:
         params = SchirnParams(alpha=0.5, beta=0.5, variant=variant)
         levels = []
 
-        def traced_fit(ds_, params_, trace="residual"):
+        def traced_fit(ds_, params_, trace="residual", prefix=None):
             levels.append(trace)
-            return fit(ds_, params_)
+            return fit(ds_, params_, prefix=prefix)
 
         untraced = cli.run_cv(ds, params, k_folds=3, seed=0)
         monkeypatch.setattr(cli, "fit", traced_fit)
@@ -359,6 +365,96 @@ class TestAblate:
         main(args + ["--out", str(tmp_path / "a")])
         main(args + ["--out", str(tmp_path / "b")])
         assert (tmp_path / "a" / "ablation.csv").read_bytes() == (tmp_path / "b" / "ablation.csv").read_bytes()
+
+
+# run_grid and run_ablate before prefix sharing, verbatim: one run_cv per cell or variant
+
+
+def serial_grid(ds, params, k_folds, seed, alphas, betas, lambdas):
+    alphas = DEFAULT_GRID_ALPHA if alphas is None else alphas
+    betas = DEFAULT_GRID_BETA if betas is None else betas
+    lambdas = DEFAULT_GRID_LAMBDA if lambdas is None else lambdas
+    for name, lst in (("alpha", alphas), ("beta", betas), ("lambda", lambdas)):
+        if not lst:
+            raise ValueError(f"grid list for {name} is empty")
+    rows = []
+    for a, b, lam in product(alphas, betas, lambdas):
+        outcome = run_cv(ds, replace(params, alpha=a, beta=b, lam=lam), k_folds, seed)
+        rows.append({"alpha": a, "beta": b, "lambda": lam, "mean": outcome.mean, "std": outcome.std})
+    rows.sort(key=lambda r: (-r["mean"]["average_precision"], r["alpha"], r["beta"], r["lambda"]))
+    for i, row in enumerate(rows):
+        row["best"] = i == 0
+    return rows
+
+
+def serial_ablate(ds, params, k_folds, seed):
+    rows = []
+    for variant in ABLATION_ORDER:
+        outcome = run_cv(ds, replace(params, variant=variant), k_folds, seed)
+        rows.append({"variant": variant.value, "mean": outcome.mean, "std": outcome.std})
+    return rows
+
+
+ALPHAS = [1.5, 0.5, 1.0, 0.5, 0.3]  # unsorted, with a duplicate
+
+
+class TestPrefixSharingMatchesSerialRunners:
+    """Grid and ablation cells that share zero-noise prefixes give the rows of one run_cv each."""
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_grid_on_each_base_variant(self, variant):
+        ds, _ = make_synth(60, 8, 6, r=1, seed=0)
+        args = (ds, SchirnParams(variant=variant), 3, 0, ALPHAS, [0.05, 0.5], [10.0])
+        assert run_grid(*args) == serial_grid(*args)
+
+    @pytest.mark.parametrize("shape", [(60, 8, 6), (45, 60, 6), (30, 6, 30)], ids=["primal", "dual-w", "wide-c"])
+    def test_each_solver_route(self, shape):
+        # 3 folds train on 2/3 of the rows: d > n for dual-w, l > n for wide-c
+        ds, _ = make_synth(*shape, r=1, seed=1)
+        params = SchirnParams()
+        assert run_ablate(ds, params, 3, 0) == serial_ablate(ds, params, 3, 0)
+        args = (ds, params, 3, 0, ALPHAS, [0.05], [10.0, 100.0])
+        assert run_grid(*args) == serial_grid(*args)
+
+    @pytest.mark.parametrize("params", [
+        SchirnParams(max_iter=0),
+        SchirnParams(max_iter=15),  # noise enters N only after iteration 40 on this instance
+        SchirnParams(alpha=100.0, tol=0.5),  # high-rank stops on tol before any noise
+        SchirnParams(tol=0.05, c_shift="derived"),
+    ], ids=["max_iter=0", "no-noise", "tol-stop-before-noise", "tol-derived"])
+    def test_edge_schedules(self, params):
+        ds, _ = make_synth(60, 8, 6, r=1, seed=0)
+        assert run_ablate(ds, params, 4, 2) == serial_ablate(ds, params, 4, 2)
+        args = (ds, params, 4, 2, [params.alpha, *ALPHAS], [0.05], [10.0])
+        assert run_grid(*args) == serial_grid(*args)
+
+    def test_outcomes_equal_one_run_cv_each(self):
+        from schirn.cli import _run_cvs
+
+        ds, _ = make_synth(60, 8, 6, r=1, seed=0)
+        base = SchirnParams(alpha=0.5)
+        params_list = [base, replace(base, alpha=1.0), replace(base, variant=Variant.NO_SPARSITY),
+                       replace(base, variant=Variant.NO_RANK), replace(base, alpha=0.3),
+                       replace(base, beta=0.5), replace(base, alpha=0.3, beta=0.5, threshold=0.7)]
+        assert _run_cvs(ds, params_list, 3, 1) == [run_cv(ds, p, 3, 1) for p in params_list]
+
+    @pytest.mark.parametrize("command", ["grid", "ablate"])
+    def test_cli_files_match_serial_runner(self, synth_files, tmp_path, monkeypatch, command):
+        from schirn import cli
+
+        paths, _ = synth_files
+        args = [command, "--features", str(paths["features"]), "--labels", str(paths["labels"]),
+                "--truth", str(paths["truth"]), "--folds", "3", "--seed", "1"]
+        if command == "grid":
+            args += ["--grid-alpha", "1.5,0.5,1.0,0.5", "--grid-beta", "0.05,0.1", "--grid-lambda", "10"]
+        assert main(args + ["--out", str(tmp_path / "shared")]) == 0
+        monkeypatch.setattr(cli, "run_grid", serial_grid)
+        monkeypatch.setattr(cli, "run_ablate", serial_ablate)
+        assert main(args + ["--out", str(tmp_path / "serial")]) == 0
+        names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "shared").iterdir()) and len(names) == 2
+        for name in names:
+            assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
 
 
 class TestRankReportCmd:

@@ -85,21 +85,45 @@ class TestPairedTTest:
             paired_ttest(a, b, alpha)
 
 
+def run_fresh(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter that imports this checkout's schirn."""
+    src = str(Path(schirn.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip()
+
+
 @pytest.mark.parametrize("module", ["schirn", "schirn.cli"])
 def test_import_loads_no_scipy(module):
     """scipy serves only paired_ttest; importing the package or the CLI must
     not pay its start-up cost."""
-    src = str(Path(schirn.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
         f"import sys, {module}\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    assert run_fresh(code) == "[]"
+
+
+def test_ablate_loads_no_numpy_ma(tmp_path):
+    """numpy.ma costs about 12 ms to import, and np.unique imports it: the
+    fits and the scoring of an ablate run must not."""
+    from schirn.data import save_matrix
+
+    ds, _ = make_synth(60, 8, 6, r=1, seed=0)
+    files = {"features": ds.X, "labels": ds.Y, "truth": ds.Y_true}
+    argv = ["ablate", "--folds", "3", "--out", str(tmp_path / "ablation")]
+    for key, matrix in files.items():
+        save_matrix(tmp_path / f"{key}.txt", matrix, binary=key != "features")
+        argv += [f"--{key}", str(tmp_path / f"{key}.txt")]
+    code = (
+        "import sys, schirn.cli\n"
+        f"rc = schirn.cli.main({argv!r})\n"
+        "print(rc, 'numpy.ma' in sys.modules)"
     )
-    assert out.stdout.strip() == "[]"
+    assert run_fresh(code) == "0 False"
 
 
 class TestVerifyRankTheorem:

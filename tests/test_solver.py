@@ -772,6 +772,116 @@ class TestTraceLevels:
             fit(ds, default_params(max_iter=1), trace=level)
 
 
+def assert_same_fit(a, b):
+    """Bit-identical W and N, and an equal report: iterations, rank, first noise, traces."""
+    assert np.array_equal(a.W, b.W)
+    assert np.array_equal(a.noise, b.noise)
+    assert a.report == b.report
+
+
+class TestSharedPrefix:
+    """A fit resumed from another fit's zero-noise prefix equals the same fit from scratch."""
+
+    @pytest.fixture
+    def w_steps(self, monkeypatch):
+        calls = []
+        update_w = solver.update_w
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return update_w(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "update_w", counted)
+        return calls
+
+    @pytest.mark.parametrize("trace", ["none", "residual"])
+    @pytest.mark.parametrize("tol", [0.5, 0.2, 0.05, 1e-3])
+    def test_no_sparsity_after_a_lead_without_noise(self, tol, trace):
+        # high-rank at alpha=100 never has noise; at tol >= 0.05 it stops on tol,
+        # and resuming the loop from that stop would run one iteration too many
+        ds, _ = make_synth(60, 8, 6, r=1, seed=0)
+        prefix = solver.Prefix()
+        lead = fit(ds, default_params(alpha=100.0, tol=tol), trace=trace, prefix=prefix)
+        assert lead.report.first_noise_iter is None
+        params = default_params(alpha=100.0, tol=tol, variant=Variant.NO_SPARSITY)
+        assert_same_fit(fit(ds, params, trace=trace, prefix=prefix), fit(ds, params, trace=trace))
+
+    @pytest.mark.parametrize("trace", ["none", "residual"])
+    @pytest.mark.parametrize("shape", [(60, 8, 6), (30, 40, 6), (20, 6, 30)], ids=["primal", "dual-w", "wide-c"])
+    def test_followers_branch_mid_run(self, shape, trace):
+        ds, _ = make_synth(*shape, r=1, seed=0)
+        prefix = solver.Prefix()
+        lead = fit(ds, default_params(alpha=0.5), trace=trace, prefix=prefix)
+        assert 1 < lead.report.first_noise_iter < 100
+        for params in (default_params(alpha=1.0), default_params(alpha=1.0, variant=Variant.NO_SPARSITY)):
+            assert_same_fit(fit(ds, params, trace=trace, prefix=prefix), fit(ds, params, trace=trace))
+
+    def test_follower_skips_the_shared_iterations(self, w_steps):
+        ds, _ = make_synth(60, 8, 6, r=1, seed=0)
+        prefix = solver.Prefix()
+        first = fit(ds, default_params(alpha=0.5), trace="none", prefix=prefix).report.first_noise_iter
+        second = fit(ds, default_params(alpha=1.0), trace="none", prefix=prefix).report.first_noise_iter
+        fit(ds, default_params(alpha=1.0, variant=Variant.NO_SPARSITY), trace="none", prefix=prefix)
+        assert len(w_steps) == 100 + (100 - (first - 1)) + (100 - (second - 1))
+
+    @pytest.mark.parametrize("change", [
+        dict(alpha=0.4), dict(beta=0.06), dict(lam=9.0), dict(mu0=2e-4), dict(rho=1.2), dict(mu_max=5.0),
+        dict(max_iter=99), dict(tol=1e-9), dict(c_shift="derived"),
+        dict(variant=Variant.NO_RANK), dict(variant=Variant.LOW_RANK),
+    ], ids=repr)
+    def test_starts_over_when_the_prefix_may_differ(self, change, w_steps):
+        ds, _ = make_synth(60, 8, 6, r=1, seed=0)
+        prefix = solver.Prefix()
+        fit(ds, default_params(alpha=0.5), trace="none", prefix=prefix)
+        params = default_params(**{"alpha": 1.0, **change})
+        w_steps.clear()
+        assert_same_fit(fit(ds, params, trace="none", prefix=prefix), fit(ds, params, trace="none"))
+        assert len(w_steps) == 2 * params.max_iter
+
+    def test_starts_over_on_other_data_trace_level_or_alpha_order(self, w_steps):
+        ds, _ = make_synth(60, 8, 6, r=1, seed=0)
+        copy = Dataset(X=ds.X.copy(), Y=ds.Y.copy())
+        prefix = solver.Prefix()
+        steps = []
+        for data, params, trace in [
+            (ds, default_params(alpha=0.5), "none"),
+            (copy, default_params(alpha=1.0), "none"),  # equal arrays, but not the same ones
+            (copy, default_params(alpha=1.5), "residual"),
+            (copy, default_params(variant=Variant.NO_SPARSITY), "residual"),  # resumes
+            (copy, default_params(alpha=2.0), "residual"),  # no-sparsity counts as alpha = infinity
+        ]:
+            w_steps.clear()
+            assert_same_fit(fit(data, params, trace=trace, prefix=prefix), fit(data, params, trace=trace))
+            steps.append(len(w_steps) - params.max_iter)
+        assert steps[:3] == [100, 100, 100] and steps[3] < 100 and steps[4] == 100
+
+    def test_branch_state_survives_its_followers(self):
+        # a follower that wrote into the branch's arrays (X^T N, say) would spoil the second
+        ds, _ = make_synth(60, 8, 6, r=1, seed=0)
+        prefix = solver.Prefix()
+        fit(ds, default_params(alpha=0.5), prefix=prefix)
+        branch = prefix.branch
+        direct = fit(ds, default_params(alpha=1.0))
+        for _ in range(2):
+            prefix.branch = branch
+            assert_same_fit(fit(ds, default_params(alpha=1.0), prefix=prefix), direct)
+
+    def test_models_do_not_share_the_branch_arrays(self):
+        # a lead without noise hands out its final state; writing into a model must not reach it
+        ds, _ = make_synth(60, 8, 6, r=1, seed=0)
+        prefix = solver.Prefix()
+        lead = fit(ds, default_params(alpha=100.0), prefix=prefix)
+        branch = prefix.branch
+        assert branch.finished
+        params = default_params(alpha=100.0, variant=Variant.NO_SPARSITY)
+        direct = fit(ds, params)
+        for model in (lead, fit(ds, params, prefix=prefix)):
+            model.W[:] = 0.0
+            model.noise[:] = 1.0
+            prefix.branch = branch
+            assert_same_fit(fit(ds, params, prefix=prefix), direct)
+
+
 class TestPredict:
     def test_zero_weights(self):
         ds, _ = make_synth(10, 3, 2, r=0, seed=6)
