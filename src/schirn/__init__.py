@@ -42,7 +42,6 @@ from .solver import (
     fit,
     load_model,
     objective,
-    predict_labels,
     predict_scores,
     save_model,
 )

@@ -7,21 +7,28 @@ which wins over built-in defaults. All randomness flows from the single
 ``seed`` option (noise injection consumes ``seed``, fold splitting
 ``seed + 1``), so identical inputs produce byte-identical outputs.
 
-Exit codes: 0 success, 1 numerical failure, 2 input/config error.
+The folds of cv, grid and ablate run in one worker process per usable
+CPU, each with BLAS on one thread; the outputs depend on neither.
+
+Exit codes: 0 success, 1 numerical failure (or a CV worker that ended
+without a result), 2 input/config error.
 """
 
 import argparse
 import csv
 import json
+import os
+import pickle
 import sys
+from contextlib import suppress
 from dataclasses import dataclass, fields, replace
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from .data import (Dataset, MatrixFormatError, NoiseSpec, describe, drop_empty_truth, inject_noise, kfold_split,
-                   load_dataset, load_matrix, save_matrix, standardize)
+from .data import (Dataset, FoldSplit, MatrixFormatError, NoiseSpec, describe, drop_empty_truth, inject_noise,
+                   kfold_split, load_dataset, load_matrix, save_matrix, standardize)
 from .diagnostics import rank_report, verify_rank_theorem
 from .linalg import NumericalError
 from .metrics import evaluate_all
@@ -175,7 +182,7 @@ class CvOutcome:
 
 
 def run_cv(ds: Dataset, params: SchirnParams, k_folds: int, seed: int) -> CvOutcome:
-    """k-fold cross-validation: fit on train, score and evaluate on test, fold by fold.
+    """k-fold cross-validation: fit on train, score and evaluate on test, for each fold.
 
     Evaluation uses the ground-truth matrix when present, otherwise the
     candidate matrix; the outcome records which. The fits skip their
@@ -185,22 +192,129 @@ def run_cv(ds: Dataset, params: SchirnParams, k_folds: int, seed: int) -> CvOutc
 
 
 def _run_cvs(ds: Dataset, params_list, k_folds: int, seed: int) -> list[CvOutcome]:
-    """run_cv for each params on the same folds; a fold's fits run in list order and
-    share their zero-noise prefixes (solver.Prefix), so list ascending alphas together."""
-    split = kfold_split(ds.n, k_folds, seed=seed + 1)
-    target = ds.Y_true if ds.Y_true is not None else ds.Y
+    """run_cv for each params on the same folds. The folds run in worker processes
+    (_map_folds); a fold's fits run in list order and share their zero-noise prefixes
+    (solver.Prefix), so list ascending alphas together."""
+    job = _CvJob(ds, kfold_split(ds.n, k_folds, seed=seed + 1), list(params_list))
+    by_fold = _map_folds(job, k_folds)
     eval_target = "truth" if ds.Y_true is not None else "candidates"
-    reports = [[] for _ in params_list]
-    for fold in range(k_folds):
-        tr = split.train_indices(fold)
-        te = split.test_indices(fold)
-        train, X_test, T_test = Dataset(X=ds.X[tr], Y=ds.Y[tr]), ds.X[te], target[te]
-        prefix = Prefix()
-        for params, fold_reports in zip(params_list, reports):
-            model = fit(train, params, trace="none", prefix=prefix)
-            scores = predict_scores(model, X_test)
-            fold_reports.append(evaluate_all(scores, binarize(scores, params.threshold), T_test))
-    return [_cv_outcome(fold_reports, eval_target) for fold_reports in reports]
+    return [_cv_outcome([reports[i] for reports in by_fold], eval_target) for i in range(len(job.params_list))]
+
+
+@dataclass(frozen=True)
+class _CvJob:
+    """What every fold of a _run_cvs call reads: the data, its folds and the fits to run."""
+
+    ds: Dataset
+    split: FoldSplit
+    params_list: list
+
+
+def _fold_reports(job: _CvJob, fold: int) -> list:
+    """One fold of _run_cvs: the test-fold MetricReport of each params' fit, in list order."""
+    ds, split = job.ds, job.split
+    target = ds.Y_true if ds.Y_true is not None else ds.Y
+    tr = split.train_indices(fold)
+    te = split.test_indices(fold)
+    train, X_test, T_test = Dataset(X=ds.X[tr], Y=ds.Y[tr]), ds.X[te], target[te]
+    prefix = Prefix()
+    reports = []
+    for params in job.params_list:
+        model = fit(train, params, trace="none", prefix=prefix)
+        scores = predict_scores(model, X_test)
+        reports.append(evaluate_all(scores, binarize(scores, params.threshold), T_test))
+    return reports
+
+
+# a worker interpreter of _map_folds; `-c` keeps the worker's entry point out of the CLI's options
+_WORKER = "import sys; from schirn.cli import _cv_worker; _cv_worker(sys.stdin.buffer, sys.stdout.buffer)"
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _worker_env() -> dict:
+    """The caller's environment (a copy), with BLAS on one thread and this package's source first
+    on PYTHONPATH, so a worker imports the same schirn as its parent."""
+    env = dict(os.environ)
+    env.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    src = str(Path(__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _map_folds(job: _CvJob, k_folds: int) -> list:
+    """_fold_reports of every fold, in fold order; the parent fits nothing.
+
+    The folds run in min(k_folds, usable CPUs) worker interpreters, fold i in worker i mod w.
+    Each is a fresh ``sys.executable`` with BLAS on one thread: w workers then use w cores, and
+    the reports do not depend on the caller's BLAS setting. (A forked worker would inherit a
+    multi-threaded BLAS; threads serialize on the interpreter lock.) Each worker gets the job and
+    its folds as one pickle on stdin and answers with one pickle on stdout.
+
+    An exception raised in a fold reaches the caller as itself; of several, the lowest fold's,
+    as a serial loop would raise it. A worker that ends without a result raises
+    ChildProcessError with its exit status. Every worker has ended, been waited for and had its
+    pipes closed before this returns or raises; an error or an interrupt kills those still running.
+    """
+    import subprocess  # here, not at module level, so that `import schirn.cli` stays cheap
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(k_folds, cpus)
+    assigned = [list(range(w, k_folds, workers)) for w in range(workers)]
+    env = _worker_env()
+    procs = []
+    try:
+        for _ in assigned:
+            procs.append(subprocess.Popen([sys.executable, "-c", _WORKER], env=env,
+                                          stdin=subprocess.PIPE, stdout=subprocess.PIPE))
+        for proc, folds in zip(procs, assigned):
+            try:
+                with proc.stdin:
+                    proc.stdin.write(pickle.dumps((job, folds), pickle.HIGHEST_PROTOCOL))
+            except BrokenPipeError:
+                pass  # the worker has ended; reading its result reports how
+        by_fold = [None] * k_folds
+        failures = []
+        for proc, folds in zip(procs, assigned):
+            with proc.stdout:
+                message = proc.stdout.read()
+            status = proc.wait()
+            if status != 0 or not message:
+                raise ChildProcessError(f"a CV worker exited with status {status} without a result")
+            done, error = pickle.loads(message)
+            for fold, reports in zip(folds, done):
+                by_fold[fold] = reports
+            if error is not None:
+                failures.append((folds[len(done)], error))
+        if failures:
+            raise min(failures, key=lambda failure: failure[0])[1]
+        return by_fold
+    finally:
+        for proc in procs:
+            proc.kill()  # a no-op for a worker already waited for
+            proc.wait()
+            proc.stdout.close()
+            with suppress(BrokenPipeError):  # unsent input of a killed worker
+                proc.stdin.close()
+
+
+def _cv_worker(stdin, stdout) -> None:
+    """Body of a _map_folds worker: reads (job, folds), writes (reports of each fold done, error).
+
+    The folds run in order and stop at the first exception, which is sent as the error.
+    Ctrl-C is left to the parent, which kills its workers.
+    """
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    job, folds = pickle.load(stdin)
+    done, error = [], None
+    try:
+        for fold in folds:
+            done.append(_fold_reports(job, fold))
+    except Exception as exc:  # sent to the parent, which raises it
+        error = exc
+    pickle.dump((done, error), stdout, pickle.HIGHEST_PROTOCOL)
+    stdout.flush()
 
 
 def _cv_outcome(reports, eval_target: str) -> CvOutcome:
@@ -459,7 +573,7 @@ def main(argv=None) -> int:
             raise ValueError(f"{args.command} requires {', '.join(missing)}")
         handler(v)
         return 0
-    except NumericalError as exc:
+    except (NumericalError, ChildProcessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (MatrixFormatError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
@@ -469,4 +583,8 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # run the imported module, not this __main__ copy, so that what is pickled for the CV workers
+    # names schirn.cli
+    from schirn.cli import main as _main
+
+    sys.exit(_main())

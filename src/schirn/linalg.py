@@ -57,6 +57,11 @@ def sym_eig(a) -> EigResult:
     tol = 1e-10 * max(1.0, float(np.abs(A).max()))
     if float(np.abs(A - A.T).max()) > tol:
         raise ValueError("sym_eig requires a symmetric matrix")
+    return _eigh(A)
+
+
+def _eigh(A: np.ndarray) -> EigResult:
+    """sym_eig without its checks: ``A`` must already be a finite, symmetric float64 matrix."""
     try:
         w, Q = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:

@@ -87,7 +87,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _EPS, EigResult, as_matrix, numerical_rank, sym_eig
+from .linalg import _EPS, EigResult, _eigh, as_matrix, numerical_rank, sym_eig
 
 __all__ = [
     "Variant",
@@ -104,7 +104,6 @@ __all__ = [
     "update_lagrange",
     "objective",
     "predict_scores",
-    "predict_labels",
     "binarize",
     "save_model",
     "load_model",
@@ -358,9 +357,10 @@ def _nuclear_sign(variant: Variant) -> float:
     return 0.0
 
 
-def _gram_eig(X: np.ndarray, dual: bool):
+def _sym_gram(X: np.ndarray, dual: bool) -> np.ndarray:
+    """X^T X (X X^T when ``dual``), made exactly symmetric."""
     gram = X @ X.T if dual else X.T @ X
-    return sym_eig((gram + gram.T) / 2.0)
+    return (gram + gram.T) / 2.0
 
 
 def update_w(state: SolverState, X: np.ndarray, params: SchirnParams, eig=None, dual=False,
@@ -378,7 +378,7 @@ def update_w(state: SolverState, X: np.ndarray, params: SchirnParams, eig=None, 
     is then read from Xt.XtC and Xt.XtLam, and Xt.XtXW is set to X^T X W.
     """
     if eig is None:
-        eig = _gram_eig(X, dual)
+        eig = sym_eig(_sym_gram(X, dual))
     denom = state.mu * eig.eigenvalues + 2.0 * params.lam
     if dual:
         target = state.mu * state.C - state.Lam
@@ -479,7 +479,11 @@ def _spectral_map(G: np.ndarray, params: SchirnParams, mu: float):
         return None
     wide = G.shape[1] > G.shape[0]
     _, k = np.frexp(max(G.max(), -G.min()))
-    eig = _gram_eig(np.ldexp(G, -k), dual=wide)
+    gram = _sym_gram(np.ldexp(G, -k), dual=wide)
+    # symmetric by construction, so one finiteness check stands in for sym_eig's scans
+    if not np.isfinite(gram).all():
+        raise ValueError("matrix contains NaN or Inf entries")
+    eig = _eigh(gram)
     lam = eig.eigenvalues
     keep = lam > max(G.shape) * _EPS * lam[-1]
     V = eig.Q[:, keep]
@@ -572,7 +576,7 @@ def fit(ds, params: SchirnParams, trace: str = "residual", prefix: Prefix | None
 
     if lead is None:
         state = _initial_state(n, d, l, params)
-        eig = _gram_eig(X, dual)
+        eig = sym_eig(_sym_gram(X, dual))
         R = np.linalg.qr(X, mode="r") if traced and _nuclear_sign(params.variant) != 0.0 else None
         Xt = XtProducts.start(X, Y, state) if not dual and l <= n else None
         report = FitReport()
@@ -630,11 +634,6 @@ def predict_scores(model: Model, X_test) -> np.ndarray:
 def binarize(scores: np.ndarray, threshold: float) -> np.ndarray:
     """Binary predictions from scores: 1 iff the score strictly exceeds the threshold."""
     return (scores > threshold).astype(np.float64)
-
-
-def predict_labels(model: Model, X_test) -> np.ndarray:
-    """binarize(predict_scores(model, X_test), model.params.threshold)."""
-    return binarize(predict_scores(model, X_test), model.params.threshold)
 
 
 def save_model(model: Model, out_dir) -> None:

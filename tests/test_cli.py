@@ -20,6 +20,7 @@ from schirn.cli import (
 )
 from schirn.data import load_matrix, save_matrix
 from synthdata import make_synth
+from test_cv_workers import serial_run_cvs
 
 
 @pytest.fixture
@@ -214,7 +215,7 @@ class TestCv:
         assert (a / "cv_results.json").read_bytes() == (b / "cv_results.json").read_bytes()
 
     def test_jobs_is_an_unknown_option(self, synth_files, tmp_path, capsys):
-        # folds run serially; a leftover --jobs flag or config key is an input error
+        # the worker count is not an option; a leftover --jobs flag or config key is an input error
         paths, _ = synth_files
         with pytest.raises(SystemExit) as exc:
             main(self.cv_args(paths, tmp_path / "cv_flag", extra=("--jobs", "2")))
@@ -261,8 +262,9 @@ class TestCv:
 
     @pytest.mark.parametrize("variant", ["high-rank", "no-rank", "no-sparsity", "low-rank"])
     def test_untraced_fits_give_the_same_outcome(self, variant, monkeypatch):
-        # run_cv fits with trace="none"; forcing the default level changes nothing
-        from schirn import cli
+        # the CV fold body fits with trace="none"; forcing the default level changes nothing.
+        # It runs in worker processes, which never see a monkeypatch, so call it here.
+        from schirn import cli, kfold_split
 
         ds, _ = make_synth(60, 8, 6, r=1, seed=0)
         params = SchirnParams(alpha=0.5, beta=0.5, variant=variant)
@@ -274,9 +276,10 @@ class TestCv:
 
         untraced = cli.run_cv(ds, params, k_folds=3, seed=0)
         monkeypatch.setattr(cli, "fit", traced_fit)
-        traced = cli.run_cv(ds, params, k_folds=3, seed=0)
+        job = cli._CvJob(ds, kfold_split(ds.n, 3, seed=1), [params])
+        traced = [cli._fold_reports(job, fold)[0] for fold in range(3)]
         assert levels == ["none"] * 3
-        assert traced == untraced
+        assert traced == untraced.fold_reports
 
 
 class TestGrid:
@@ -367,7 +370,13 @@ class TestAblate:
         assert (tmp_path / "a" / "ablation.csv").read_bytes() == (tmp_path / "b" / "ablation.csv").read_bytes()
 
 
-# run_grid and run_ablate before prefix sharing, verbatim: one run_cv per cell or variant
+# run_grid and run_ablate before prefix sharing: one run_cv per cell or variant, each
+# run in this process by the single-process CV runner (test_cv_workers), which the
+# worker-process runner must equal
+
+
+def run_cv_in_process(ds, params, k_folds, seed):
+    return serial_run_cvs(ds, [params], k_folds, seed)[0]
 
 
 def serial_grid(ds, params, k_folds, seed, alphas, betas, lambdas):
@@ -379,7 +388,7 @@ def serial_grid(ds, params, k_folds, seed, alphas, betas, lambdas):
             raise ValueError(f"grid list for {name} is empty")
     rows = []
     for a, b, lam in product(alphas, betas, lambdas):
-        outcome = run_cv(ds, replace(params, alpha=a, beta=b, lam=lam), k_folds, seed)
+        outcome = run_cv_in_process(ds, replace(params, alpha=a, beta=b, lam=lam), k_folds, seed)
         rows.append({"alpha": a, "beta": b, "lambda": lam, "mean": outcome.mean, "std": outcome.std})
     rows.sort(key=lambda r: (-r["mean"]["average_precision"], r["alpha"], r["beta"], r["lambda"]))
     for i, row in enumerate(rows):
@@ -390,7 +399,7 @@ def serial_grid(ds, params, k_folds, seed, alphas, betas, lambdas):
 def serial_ablate(ds, params, k_folds, seed):
     rows = []
     for variant in ABLATION_ORDER:
-        outcome = run_cv(ds, replace(params, variant=variant), k_folds, seed)
+        outcome = run_cv_in_process(ds, replace(params, variant=variant), k_folds, seed)
         rows.append({"variant": variant.value, "mean": outcome.mean, "std": outcome.std})
     return rows
 

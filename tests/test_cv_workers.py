@@ -1,0 +1,231 @@
+"""The CV runners fit their folds in worker processes (cli._map_folds).
+
+The oracle is the single-process runner the workers replaced, kept verbatim:
+every outcome and every output file must equal its. The process tests read
+the test process's children from /proc before and after each call.
+"""
+
+import os
+import pickle
+import subprocess
+import sys
+import time
+from contextlib import contextmanager
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from schirn import Dataset, SchirnParams, Variant, kfold_split
+from schirn import cli
+from schirn.cli import main, run_ablate, run_cv, run_grid
+from schirn.data import save_matrix
+from schirn.metrics import evaluate_all
+from schirn.solver import Prefix, binarize, fit, predict_scores
+from synthdata import make_synth
+
+
+def serial_run_cvs(ds, params_list, k_folds, seed):
+    """cli._run_cvs before the folds moved into workers, verbatim."""
+    split = kfold_split(ds.n, k_folds, seed=seed + 1)
+    target = ds.Y_true if ds.Y_true is not None else ds.Y
+    eval_target = "truth" if ds.Y_true is not None else "candidates"
+    reports = [[] for _ in params_list]
+    for fold in range(k_folds):
+        tr = split.train_indices(fold)
+        te = split.test_indices(fold)
+        train, X_test, T_test = Dataset(X=ds.X[tr], Y=ds.Y[tr]), ds.X[te], target[te]
+        prefix = Prefix()
+        for params, fold_reports in zip(params_list, reports):
+            model = fit(train, params, trace="none", prefix=prefix)
+            scores = predict_scores(model, X_test)
+            fold_reports.append(evaluate_all(scores, binarize(scores, params.threshold), T_test))
+    return [cli._cv_outcome(fold_reports, eval_target) for fold_reports in reports]
+
+
+BASE = SchirnParams(alpha=0.5, max_iter=60)
+MIXED_CHAIN = [BASE, replace(BASE, alpha=1.0), replace(BASE, variant=Variant.NO_SPARSITY),
+               replace(BASE, variant=Variant.NO_RANK), replace(BASE, alpha=0.3), replace(BASE, beta=0.5),
+               replace(BASE, variant=Variant.LOW_RANK), replace(BASE, alpha=0.3, beta=0.5, threshold=0.7)]
+
+
+@pytest.fixture
+def synth_files(tmp_path):
+    """The 60x8x6 instance, and the CLI arguments that name its files."""
+    ds, _ = make_synth(60, 8, 6, r=1, seed=0)
+    args = []
+    for key, matrix in (("features", ds.X), ("labels", ds.Y), ("truth", ds.Y_true)):
+        save_matrix(tmp_path / f"{key}.txt", matrix, binary=key != "features")
+        args += [f"--{key}", str(tmp_path / f"{key}.txt")]
+    return ds, args
+
+
+class TestWorkersMatchTheSerialRunner:
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_each_variant(self, variant):
+        ds, _ = make_synth(60, 8, 6, r=1, seed=0)
+        chain = [replace(BASE, variant=variant), replace(BASE, alpha=1.5, variant=variant)]
+        assert cli._run_cvs(ds, chain, 5, 3) == serial_run_cvs(ds, chain, 5, 3)
+
+    def test_mixed_grid_chain(self):
+        ds, _ = make_synth(60, 8, 6, r=1, seed=0)
+        assert cli._run_cvs(ds, MIXED_CHAIN, 3, 1) == serial_run_cvs(ds, MIXED_CHAIN, 3, 1)
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    @pytest.mark.parametrize("k_folds", [2, 3, 5, 7])
+    def test_fold_counts_below_and_above_the_cpu_count(self, monkeypatch, k_folds, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        ds, _ = make_synth(70, 8, 6, r=1, seed=4)
+        chain = MIXED_CHAIN[:3]
+        assert cli._run_cvs(ds, chain, k_folds, 0) == serial_run_cvs(ds, chain, k_folds, 0)
+
+    @pytest.mark.parametrize("shape", [(60, 8, 6), (45, 60, 6), (30, 6, 30)], ids=["primal", "dual-w", "wide-c"])
+    def test_each_solver_route(self, shape):
+        # 3 folds train on 2/3 of the rows: d > n for dual-w, l > n for wide-c
+        ds, _ = make_synth(*shape, r=1, seed=1)
+        chain = [replace(SchirnParams(), variant=v) for v in cli._ABLATION_RUN_ORDER]
+        assert cli._run_cvs(ds, chain, 3, 0) == serial_run_cvs(ds, chain, 3, 0)
+
+    def test_candidate_target(self):
+        ds, _ = make_synth(60, 8, 6, r=1, seed=2)
+        ds = Dataset(X=ds.X, Y=ds.Y)
+        outcomes = cli._run_cvs(ds, [BASE], 4, 0)
+        assert outcomes == serial_run_cvs(ds, [BASE], 4, 0)
+        assert outcomes[0].eval_target == "candidates"
+
+    @pytest.mark.parametrize("command", ["cv", "grid", "ablate"])
+    def test_cli_files(self, tmp_path, synth_files, monkeypatch, command):
+        args = [command, *synth_files[1], "--folds", "3", "--seed", "1", "--max-iter", "60"]
+        if command == "grid":
+            args += ["--grid-alpha", "1.5,0.5,1.0", "--grid-beta", "0.05,0.1", "--grid-lambda", "10"]
+        assert main(args + ["--out", str(tmp_path / "workers")]) == 0
+        monkeypatch.setattr(cli, "_run_cvs", serial_run_cvs)
+        assert main(args + ["--out", str(tmp_path / "serial")]) == 0
+        names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "workers").iterdir()) and len(names) == 2
+        for name in names:
+            assert (tmp_path / "workers" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+
+def test_fold_body_in_process():
+    """The workers run without pytest's warning filters, so run the fold body here
+    too: a RuntimeWarning in it fails this test."""
+    ds, _ = make_synth(60, 8, 6, r=1, seed=0)
+    job = cli._CvJob(ds, kfold_split(ds.n, 3, seed=1), MIXED_CHAIN)
+    by_fold = [cli._fold_reports(job, fold) for fold in range(3)]
+    outcomes = serial_run_cvs(ds, MIXED_CHAIN, 3, 0)
+    assert [[reports[i] for reports in by_fold] for i in range(len(MIXED_CHAIN))] == \
+        [outcome.fold_reports for outcome in outcomes]
+
+
+def test_module_entry_point(tmp_path, synth_files):
+    """`python -m schirn.cli` runs the module as __main__; what it sends the workers must
+    still unpickle there, and the files must equal those of main()."""
+    args = ["ablate", *synth_files[1], "--folds", "3", "--max-iter", "30"]
+    subprocess.run([sys.executable, "-m", "schirn.cli", *args, "--out", str(tmp_path / "module")],
+                   env=cli._worker_env(), check=True, timeout=120)
+    assert main(args + ["--out", str(tmp_path / "main")]) == 0
+    for name in ("ablation.csv", "ablation.json"):
+        assert (tmp_path / "module" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
+
+
+def test_worker_env_pins_blas_and_leaves_os_environ_alone(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "8")
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    before = dict(os.environ)
+    env = cli._worker_env()
+    assert dict(os.environ) == before
+    assert [env[var] for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")] == ["1"] * 3
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    assert env["PYTHONPATH"] == os.pathsep.join([src, "elsewhere"])
+    set_here = (*cli._BLAS_THREAD_VARS, "PYTHONPATH")
+    assert {k: v for k, v in env.items() if k not in set_here} == {k: v for k, v in before.items() if k not in set_here}
+
+
+# ---------------------------------------------------------------------------
+# worker lifetime and errors
+
+needs_proc = pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="reads children from /proc")
+
+
+def child_pids() -> set:
+    """PIDs whose parent is this process, zombies included, from /proc/<pid>/stat."""
+    me = str(os.getpid())
+    pids = set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            text = stat.read_text()
+        except OSError:  # the process ended meanwhile
+            continue
+        if text.rpartition(")")[2].split()[1] == me:  # fields after "(comm)": state, ppid
+            pids.add(int(stat.parent.name))
+    return pids
+
+
+@contextmanager
+def leaves_no_process():
+    """Asserts that the block leaves this process's children and environment as it found them."""
+    children, environ = child_pids(), dict(os.environ)
+    yield
+    assert child_pids() == children
+    assert dict(os.environ) == environ
+
+
+@needs_proc
+class TestWorkerLifetime:
+    def test_runners_leave_no_process(self):
+        ds, _ = make_synth(60, 8, 6, r=1, seed=0)
+        params = SchirnParams(max_iter=20)
+        with leaves_no_process():
+            run_cv(ds, params, 3, 0)
+            run_grid(ds, params, 5, 0, [0.5, 1.0], [0.05], [10.0])
+            run_ablate(ds, params, 2, 0)
+
+    def test_fold_error_keeps_its_type_and_exit_code(self, tmp_path, synth_files, capsys):
+        ds, _ = synth_files
+        # X^T X overflows, so every fit rejects its Gram matrix
+        huge = Dataset(X=ds.X * 1e300, Y=ds.Y, Y_true=ds.Y_true)
+        save_matrix(tmp_path / "huge.txt", huge.X)
+        args = ["cv", "--features", str(tmp_path / "huge.txt"), "--labels", str(tmp_path / "labels.txt"),
+                "--truth", str(tmp_path / "truth.txt"), "--out", str(tmp_path / "cv")]
+        with leaves_no_process():
+            with pytest.raises(ValueError, match="^matrix contains NaN or Inf entries$"):
+                run_cv(huge, SchirnParams(), 5, 0)
+            assert main(args) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "error: matrix contains NaN or Inf entries"
+        assert not (tmp_path / "cv").exists()
+
+    @pytest.mark.parametrize("body, status", [
+        ("import sys; sys.exit(3)", "3"),
+        ("import os, signal; os.kill(os.getpid(), signal.SIGKILL)", "-9"),
+    ], ids=["exit", "killed"])
+    def test_worker_without_result_exits_1(self, tmp_path, synth_files, monkeypatch, capsys, body, status):
+        _, args = synth_files
+        monkeypatch.setattr(cli, "_WORKER", body)
+        with leaves_no_process():
+            assert main(["cv", *args, "--out", str(tmp_path / "cv")]) == 1
+        assert capsys.readouterr().err == f"error: a CV worker exited with status {status} without a result\n"
+
+    def test_interrupt_kills_the_workers(self, monkeypatch):
+        # interrupted while sending the second job; the workers would sleep for minutes,
+        # so the call returns at once only if it kills them
+        ds, _ = make_synth(60, 8, 6, r=1, seed=0)
+        sent = []
+
+        class Interrupted:
+            HIGHEST_PROTOCOL = pickle.HIGHEST_PROTOCOL
+
+            @staticmethod
+            def dumps(obj, protocol):
+                if sent:
+                    raise KeyboardInterrupt
+                sent.append(obj)
+                return pickle.dumps(obj, protocol)
+
+        monkeypatch.setattr(cli, "pickle", Interrupted)
+        monkeypatch.setattr(cli, "_WORKER", "import sys, time; sys.stdin.buffer.read(); time.sleep(120)")
+        started = time.monotonic()
+        with leaves_no_process(), pytest.raises(KeyboardInterrupt):
+            run_cv(ds, SchirnParams(), 5, 0)
+        assert len(sent) == 1
+        assert time.monotonic() - started < 60

@@ -98,18 +98,24 @@ def run_fresh(code: str) -> str:
 
 @pytest.mark.parametrize("module", ["schirn", "schirn.cli"])
 def test_import_loads_no_scipy(module):
-    """scipy serves only paired_ttest; importing the package or the CLI must
-    not pay its start-up cost."""
+    """scipy serves only paired_ttest, and subprocess only the CV runners, which
+    import it when they start their workers; importing the package or the CLI
+    must pay the start-up cost of neither."""
     code = (
         f"import sys, {module}\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'subprocess')))"
     )
     assert run_fresh(code) == "[]"
 
 
 def test_ablate_loads_no_numpy_ma(tmp_path):
-    """numpy.ma costs about 12 ms to import, and np.unique imports it: the
-    fits and the scoring of an ablate run must not."""
+    """numpy.ma costs about 12 ms to import, and np.unique imports it: neither
+    an ablate run nor the CV worker interpreter that runs its fits and scoring
+    may load it."""
+    import pickle
+    from dataclasses import replace
+
+    from schirn import cli, kfold_split
     from schirn.data import save_matrix
 
     ds, _ = make_synth(60, 8, 6, r=1, seed=0)
@@ -124,6 +130,16 @@ def test_ablate_loads_no_numpy_ma(tmp_path):
         "print(rc, 'numpy.ma' in sys.modules)"
     )
     assert run_fresh(code) == "0 False"
+
+    # the worker of those fits, fed as cli._map_folds feeds it, reports its modules on stderr
+    chain = [replace(SchirnParams(), variant=v) for v in cli._ABLATION_RUN_ORDER]
+    job = cli._CvJob(ds, kfold_split(ds.n, 3, seed=1), chain)
+    probe = cli._WORKER + "; print('numpy.ma' in sys.modules, file=sys.stderr)"
+    out = subprocess.run([sys.executable, "-c", probe], input=pickle.dumps((job, [0, 1, 2])),
+                         env=cli._worker_env(), capture_output=True, check=True, timeout=120)
+    done, error = pickle.loads(out.stdout)
+    assert error is None and len(done) == 3
+    assert out.stderr.decode().strip() == "False"
 
 
 class TestVerifyRankTheorem:

@@ -4,12 +4,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schirn import Dataset, SchirnParams, Variant, fit, load_model, save_model, solver
-from schirn.linalg import numerical_rank, sym_eig
+from schirn.linalg import NumericalError, numerical_rank, sym_eig
 from schirn.solver import (
     SolverState,
     binarize,
     objective,
-    predict_labels,
     predict_scores,
     update_c,
     update_lagrange,
@@ -433,6 +432,14 @@ class TestUpdateCNullDirections:
             G[2, 1] = bad
             with pytest.raises(ValueError, match="NaN or Inf"):
                 c_step_on(G, Variant.HIGH_RANK, 0.1)
+
+    def test_failed_eigendecomposition_raises_numerical_error(self, monkeypatch):
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        with pytest.raises(NumericalError, match="eigendecomposition failed"):
+            c_step_on(np.ones((4, 3)), Variant.HIGH_RANK, 0.1)
 
 
 class TestUpdateLagrange:
@@ -888,7 +895,7 @@ class TestPredict:
         model = fit(ds, default_params(max_iter=0))
         scores = predict_scores(model, ds.X)
         assert np.array_equal(scores, np.zeros((10, 2)))
-        assert np.array_equal(predict_labels(model, ds.X), np.zeros((10, 2)))
+        assert np.array_equal(binarize(scores, model.params.threshold), np.zeros((10, 2)))
 
     def test_identity_features_return_weights(self):
         ds, _ = make_synth(12, 4, 3, r=1, seed=7)
@@ -905,7 +912,7 @@ class TestPredict:
         ds, _ = make_synth(10, 2, 2, r=0, seed=9)
         model = fit(ds, default_params(max_iter=3))
         model.W = np.eye(2) * 0.5
-        labels = predict_labels(model, np.array([[1.0, 1.2]]))
+        labels = binarize(predict_scores(model, np.array([[1.0, 1.2]])), model.params.threshold)
         # scores (0.5, 0.6): exactly-0.5 maps to 0, above maps to 1
         assert np.array_equal(labels, [[0.0, 1.0]])
         assert np.array_equal(binarize(np.array([[0.5, 0.6, -1.0]]), 0.5), [[0.0, 1.0, 0.0]])
@@ -913,8 +920,9 @@ class TestPredict:
     def test_labels_are_binarized_scores(self):
         ds, _ = make_synth(30, 5, 4, r=1, seed=13)
         model = fit(ds, default_params(max_iter=10, threshold=0.3))
-        labels = predict_labels(model, ds.X)
-        assert np.array_equal(labels, binarize(predict_scores(model, ds.X), 0.3))
+        scores = predict_scores(model, ds.X)
+        labels = binarize(scores, model.params.threshold)
+        assert np.array_equal(labels, (scores > 0.3).astype(np.float64))
         assert 0 < labels.sum() < labels.size
 
     def test_dimension_mismatch(self):
