@@ -17,8 +17,6 @@ from .data import (
 from .diagnostics import (
     RankReport,
     TheoremCheckResult,
-    TTestResult,
-    paired_ttest,
     rank_report,
     verify_rank_theorem,
 )

@@ -7,8 +7,10 @@ which wins over built-in defaults. All randomness flows from the single
 ``seed`` option (noise injection consumes ``seed``, fold splitting
 ``seed + 1``), so identical inputs produce byte-identical outputs.
 
-The folds of cv, grid and ablate run in one worker process per usable
-CPU, each with BLAS on one thread; the outputs depend on neither.
+The fits of cv, grid and ablate run in worker processes with BLAS on one
+thread, one per usable CPU but never more than there are units of work (one
+prefix chain of one fold each). They start before the data is read, and
+each takes the next unit as it frees up; the outputs depend on none of this.
 
 Exit codes: 0 success, 1 numerical failure (or a CV worker that ended
 without a result), 2 input/config error.
@@ -22,6 +24,7 @@ import pickle
 import sys
 from contextlib import suppress
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from itertools import product
 from pathlib import Path
 
@@ -32,7 +35,8 @@ from .data import (Dataset, FoldSplit, MatrixFormatError, NoiseSpec, describe, d
 from .diagnostics import rank_report, verify_rank_theorem
 from .linalg import NumericalError
 from .metrics import evaluate_all
-from .solver import Prefix, SchirnParams, Variant, binarize, fit, load_model, predict_scores, save_model
+from .solver import (Prefix, SchirnParams, Variant, binarize, fit, load_model, predict_scores, prefix_chains,
+                     save_model)
 
 __all__ = ["main", "run_ablate", "run_cv", "run_grid"]
 
@@ -192,26 +196,45 @@ def run_cv(ds: Dataset, params: SchirnParams, k_folds: int, seed: int) -> CvOutc
 
 
 def _run_cvs(ds: Dataset, params_list, k_folds: int, seed: int) -> list[CvOutcome]:
-    """run_cv for each params on the same folds. The folds run in worker processes
-    (_map_folds); a fold's fits run in list order and share their zero-noise prefixes
-    (solver.Prefix), so list ascending alphas together."""
+    """run_cv for each params on the same folds. The unit of work is one prefix chain
+    (solver.prefix_chains) of one fold, run in a worker process (_Workers); a chain's fits
+    run in list order and share their zero-noise prefixes (solver.Prefix), so list
+    ascending alphas together."""
+    global _started
     job = _CvJob(ds, kfold_split(ds.n, k_folds, seed=seed + 1), list(params_list))
-    by_fold = _map_folds(job, k_folds)
+    workers, _started = _started, None  # workers started for this call serve no other
+    with workers or _Workers(_worker_count(len(job.units))) as workers:
+        results = workers.run(job)
+    by_params = [[None] * k_folds for _ in job.params_list]
+    for (fold, chain), reports in zip(job.units, results):
+        for i, report in zip(chain, reports):
+            by_params[i][fold] = report
     eval_target = "truth" if ds.Y_true is not None else "candidates"
-    return [_cv_outcome([reports[i] for reports in by_fold], eval_target) for i in range(len(job.params_list))]
+    return [_cv_outcome(reports, eval_target) for reports in by_params]
 
 
 @dataclass(frozen=True)
 class _CvJob:
-    """What every fold of a _run_cvs call reads: the data, its folds and the fits to run."""
+    """What every unit of a _run_cvs call reads: the data, its folds and the fits to run."""
 
     ds: Dataset
     split: FoldSplit
     params_list: list
 
+    @cached_property
+    def units(self) -> list[tuple[int, range]]:
+        """(fold, chain) of each unit, fold by fold, each fold's chains in list order."""
+        return _units(self.split.k, self.params_list)
 
-def _fold_reports(job: _CvJob, fold: int) -> list:
-    """One fold of _run_cvs: the test-fold MetricReport of each params' fit, in list order."""
+
+def _units(k_folds: int, params_list) -> list[tuple[int, range]]:
+    chains = prefix_chains(params_list)
+    return [(fold, chain) for fold in range(k_folds) for chain in chains]
+
+
+def _unit_reports(job: _CvJob, unit: int) -> list:
+    """One unit of _run_cvs: the test-fold MetricReport of each fit of its chain, in list order."""
+    fold, chain = job.units[unit]
     ds, split = job.ds, job.split
     target = ds.Y_true if ds.Y_true is not None else ds.Y
     tr = split.train_indices(fold)
@@ -219,14 +242,14 @@ def _fold_reports(job: _CvJob, fold: int) -> list:
     train, X_test, T_test = Dataset(X=ds.X[tr], Y=ds.Y[tr]), ds.X[te], target[te]
     prefix = Prefix()
     reports = []
-    for params in job.params_list:
+    for params in (job.params_list[i] for i in chain):
         model = fit(train, params, trace="none", prefix=prefix)
         scores = predict_scores(model, X_test)
         reports.append(evaluate_all(scores, binarize(scores, params.threshold), T_test))
     return reports
 
 
-# a worker interpreter of _map_folds; `-c` keeps the worker's entry point out of the CLI's options
+# a worker interpreter of _Workers; `-c` keeps the worker's entry point out of the CLI's options
 _WORKER = "import sys; from schirn.cli import _cv_worker; _cv_worker(sys.stdin.buffer, sys.stdout.buffer)"
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -241,80 +264,131 @@ def _worker_env() -> dict:
     return env
 
 
-def _map_folds(job: _CvJob, k_folds: int) -> list:
-    """_fold_reports of every fold, in fold order; the parent fits nothing.
+def _worker_count(units: int) -> int:
+    """One worker per usable CPU, and never more than there are units."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(units, cpus)
 
-    The folds run in min(k_folds, usable CPUs) worker interpreters, fold i in worker i mod w.
+
+class _Workers:
+    """Worker interpreters for the units of one _run_cvs call; they start when this is made.
+
     Each is a fresh ``sys.executable`` with BLAS on one thread: w workers then use w cores, and
     the reports do not depend on the caller's BLAS setting. (A forked worker would inherit a
-    multi-threaded BLAS; threads serialize on the interpreter lock.) Each worker gets the job and
-    its folds as one pickle on stdin and answers with one pickle on stdout.
-
-    An exception raised in a fold reaches the caller as itself; of several, the lowest fold's,
-    as a serial loop would raise it. A worker that ends without a result raises
-    ChildProcessError with its exit status. Every worker has ended, been waited for and had its
-    pipes closed before this returns or raises; an error or an interrupt kills those still running.
+    multi-threaded BLAS; threads serialize on the interpreter lock.) Their start-up overlaps
+    whatever the caller does before run (cmd_experiment reads the data). Leaving the context,
+    or close, kills every worker still running, waits for it and closes its pipes.
     """
-    import subprocess  # here, not at module level, so that `import schirn.cli` stays cheap
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(k_folds, cpus)
-    assigned = [list(range(w, k_folds, workers)) for w in range(workers)]
-    env = _worker_env()
-    procs = []
-    try:
-        for _ in assigned:
-            procs.append(subprocess.Popen([sys.executable, "-c", _WORKER], env=env,
-                                          stdin=subprocess.PIPE, stdout=subprocess.PIPE))
-        for proc, folds in zip(procs, assigned):
-            try:
-                with proc.stdin:
-                    proc.stdin.write(pickle.dumps((job, folds), pickle.HIGHEST_PROTOCOL))
-            except BrokenPipeError:
-                pass  # the worker has ended; reading its result reports how
-        by_fold = [None] * k_folds
-        failures = []
-        for proc, folds in zip(procs, assigned):
-            with proc.stdout:
-                message = proc.stdout.read()
-            status = proc.wait()
-            if status != 0 or not message:
-                raise ChildProcessError(f"a CV worker exited with status {status} without a result")
-            done, error = pickle.loads(message)
-            for fold, reports in zip(folds, done):
-                by_fold[fold] = reports
-            if error is not None:
-                failures.append((folds[len(done)], error))
-        if failures:
-            raise min(failures, key=lambda failure: failure[0])[1]
-        return by_fold
-    finally:
-        for proc in procs:
+    def __init__(self, count: int):
+        import subprocess  # here, not at module level, so that `import schirn.cli` stays cheap
+
+        env = _worker_env()
+        self.procs = []
+        try:
+            for _ in range(count):
+                self.procs.append(subprocess.Popen([sys.executable, "-c", _WORKER], env=env,
+                                                   stdin=subprocess.PIPE, stdout=subprocess.PIPE))
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self) -> "_Workers":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        for proc in self.procs:
             proc.kill()  # a no-op for a worker already waited for
             proc.wait()
             proc.stdout.close()
             with suppress(BrokenPipeError):  # unsent input of a killed worker
                 proc.stdin.close()
 
+    def run(self, job: _CvJob) -> list:
+        """_unit_reports of every unit of the job, in unit order; the parent fits nothing.
+
+        Each worker gets the job once, then one unit index at a time: the next unit goes to
+        whichever worker answers first. An exception raised in a unit reaches the caller as
+        itself; of several, the lowest unit's, as a serial loop would raise it. Once a unit has
+        failed no further unit is sent, but those already sent finish, since a lower one may
+        fail too. A worker that ends without a result raises ChildProcessError with its exit
+        status.
+        """
+        import selectors
+
+        todo = iter(range(len(job.units)))
+        results = [None] * len(job.units)
+        errors = {}  # unit -> exception
+        busy = {}  # worker -> its unit
+
+        def send(proc, *messages) -> None:
+            unit = None if errors else next(todo, None)
+            if unit is None:
+                return
+            busy[proc] = unit
+            try:
+                for message in (*messages, pickle.dumps(unit)):
+                    proc.stdin.write(message)
+                proc.stdin.flush()
+            except BrokenPipeError:
+                raise _ended(proc) from None
+
+        job_message = pickle.dumps(job, pickle.HIGHEST_PROTOCOL)
+        with selectors.DefaultSelector() as ready:
+            for proc in self.procs:
+                send(proc, job_message)
+                if proc in busy:
+                    ready.register(proc.stdout, selectors.EVENT_READ, proc)
+            while busy:
+                for key, _ in ready.select():
+                    proc = key.data
+                    try:
+                        reports, error = pickle.load(proc.stdout)
+                    except (EOFError, pickle.UnpicklingError):
+                        raise _ended(proc) from None
+                    unit = busy.pop(proc)
+                    if error is None:
+                        results[unit] = reports
+                    else:
+                        errors[unit] = error
+                    send(proc)
+        if errors:
+            raise errors[min(errors)]
+        return results
+
+
+def _ended(proc) -> ChildProcessError:
+    return ChildProcessError(f"a CV worker exited with status {proc.wait()} without a result")
+
+
+# the workers that cmd_experiment started before it read the data, for its one _run_cvs call
+_started: _Workers | None = None
+
 
 def _cv_worker(stdin, stdout) -> None:
-    """Body of a _map_folds worker: reads (job, folds), writes (reports of each fold done, error).
+    """Body of a _Workers worker: reads the job, then unit indices until its input ends, and
+    answers each unit with (its reports, None), or (None, the exception that stopped it).
 
-    The folds run in order and stop at the first exception, which is sent as the error.
     Ctrl-C is left to the parent, which kills its workers.
     """
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    job, folds = pickle.load(stdin)
-    done, error = [], None
     try:
-        for fold in folds:
-            done.append(_fold_reports(job, fold))
-    except Exception as exc:  # sent to the parent, which raises it
-        error = exc
-    pickle.dump((done, error), stdout, pickle.HIGHEST_PROTOCOL)
-    stdout.flush()
+        job = pickle.load(stdin)
+        while True:
+            unit = pickle.load(stdin)
+            try:
+                answer = _unit_reports(job, unit), None
+            except Exception as exc:  # sent to the parent, which raises it
+                answer = None, exc
+            pickle.dump(answer, stdout, pickle.HIGHEST_PROTOCOL)
+            stdout.flush()
+    except EOFError:  # no more units
+        return
 
 
 def _cv_outcome(reports, eval_target: str) -> CvOutcome:
@@ -330,20 +404,10 @@ def _cv_outcome(reports, eval_target: str) -> CvOutcome:
 def run_grid(ds: Dataset, params: SchirnParams, k_folds: int, seed: int, alphas, betas, lambdas) -> list[dict]:
     """Evaluate the full Cartesian product of the grids by CV mean average precision.
 
-    A grid list given as None is its default search range. The cells of
-    each (beta, lambda) run in ascending alpha, so each resumes from the
-    zero-noise prefix of the one before; the rows are those of one run_cv
-    per cell.
+    A grid list given as None is its default search range. The rows are
+    those of one run_cv per cell.
     """
-    alphas = DEFAULT_GRID_ALPHA if alphas is None else alphas
-    betas = DEFAULT_GRID_BETA if betas is None else betas
-    lambdas = DEFAULT_GRID_LAMBDA if lambdas is None else lambdas
-    for name, lst in (("alpha", alphas), ("beta", betas), ("lambda", lambdas)):
-        if not lst:
-            raise ValueError(f"grid list for {name} is empty")
-    cells = list(product(alphas, betas, lambdas))
-    order = sorted(range(len(cells)), key=lambda i: (cells[i][1], cells[i][2], cells[i][0]))
-    chain = [replace(params, alpha=a, beta=b, lam=lam) for a, b, lam in (cells[i] for i in order)]
+    cells, order, chain = _grid_fits(params, alphas, betas, lambdas)
     by_cell = dict(zip(order, _run_cvs(ds, chain, k_folds, seed)))
     rows = [{"alpha": a, "beta": b, "lambda": lam, "mean": by_cell[i].mean, "std": by_cell[i].std}
             for i, (a, b, lam) in enumerate(cells)]
@@ -353,15 +417,33 @@ def run_grid(ds: Dataset, params: SchirnParams, k_folds: int, seed: int, alphas,
     return rows
 
 
+def _grid_fits(params: SchirnParams, alphas, betas, lambdas) -> tuple[list, list, list]:
+    """The grid's (alpha, beta, lambda) cells, the order they run in, and their params in that
+    order: each (beta, lambda)'s cells in ascending alpha, so that each resumes from the
+    zero-noise prefix of the one before."""
+    alphas = DEFAULT_GRID_ALPHA if alphas is None else alphas
+    betas = DEFAULT_GRID_BETA if betas is None else betas
+    lambdas = DEFAULT_GRID_LAMBDA if lambdas is None else lambdas
+    for name, lst in (("alpha", alphas), ("beta", betas), ("lambda", lambdas)):
+        if not lst:
+            raise ValueError(f"grid list for {name} is empty")
+    cells = list(product(alphas, betas, lambdas))
+    order = sorted(range(len(cells)), key=lambda i: (cells[i][1], cells[i][2], cells[i][0]))
+    return cells, order, [replace(params, alpha=a, beta=b, lam=lam) for a, b, lam in (cells[i] for i in order)]
+
+
 ABLATION_ORDER = (Variant.HIGH_RANK, Variant.NO_RANK, Variant.NO_SPARSITY, Variant.LOW_RANK)
 # no-sparsity right after high-rank resumes from its zero-noise prefix
 _ABLATION_RUN_ORDER = (Variant.HIGH_RANK, Variant.NO_SPARSITY, Variant.NO_RANK, Variant.LOW_RANK)
 
 
+def _ablate_fits(params: SchirnParams) -> list:
+    return [replace(params, variant=v) for v in _ABLATION_RUN_ORDER]
+
+
 def run_ablate(ds: Dataset, params: SchirnParams, k_folds: int, seed: int) -> list[dict]:
     """Four CV runs differing only in the variant, same seed and folds."""
-    outcomes = _run_cvs(ds, [replace(params, variant=v) for v in _ABLATION_RUN_ORDER], k_folds, seed)
-    by_variant = dict(zip(_ABLATION_RUN_ORDER, outcomes))
+    by_variant = dict(zip(_ABLATION_RUN_ORDER, _run_cvs(ds, _ablate_fits(params), k_folds, seed)))
     return [{"variant": v.value, "mean": by_variant[v].mean, "std": by_variant[v].std} for v in ABLATION_ORDER]
 
 
@@ -410,11 +492,12 @@ def _ablate_table(ds, params, v):
     return ["variant", *_MEAN_STD_COLUMNS], rows, {"rows": variants, "base_params": params.to_dict()}
 
 
-# output file stem and table of each CV experiment
+# output file stem, table, and the fits that _run_cvs runs on each fold, of each CV experiment
 _EXPERIMENTS = {
-    "cv": ("cv_results", _cv_table),
-    "grid": ("grid_results", _grid_table),
-    "ablate": ("ablation", _ablate_table),
+    "cv": ("cv_results", _cv_table, lambda params, v: [params]),
+    "grid": ("grid_results", _grid_table,
+             lambda params, v: _grid_fits(params, v["grid_alpha"], v["grid_beta"], v["grid_lambda"])[2]),
+    "ablate": ("ablation", _ablate_table, lambda params, v: _ablate_fits(params)),
 }
 
 _CONVENTIONS = {
@@ -484,11 +567,20 @@ def cmd_eval(v: dict) -> None:
 
 
 def cmd_experiment(v: dict) -> None:
-    """cv, grid and ablate: CV runs on one dataset, written as CSV and JSON."""
+    """cv, grid and ablate: CV runs on one dataset, written as CSV and JSON.
+
+    The CV workers start before the data is read, so that their start-up overlaps the parse.
+    """
+    global _started
     params = SchirnParams.from_mapping(v)
-    ds = _load_experiment_dataset(v)
-    stem, tabulate = _EXPERIMENTS[v["command"]]
-    header, rows, payload = tabulate(ds, params, v)
+    stem, tabulate, fits = _EXPERIMENTS[v["command"]]
+    units = len(_units(v["folds"], fits(params, v)))
+    with _Workers(_worker_count(units)) as _started:
+        try:
+            ds = _load_experiment_dataset(v)
+            header, rows, payload = tabulate(ds, params, v)
+        finally:
+            _started = None  # if _run_cvs was not reached
     out_dir = Path(v["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / f"{stem}.csv", "w", encoding="utf-8", newline="") as fh:

@@ -1,17 +1,11 @@
-"""Rank preservation reports, the sparse-perturbation rank bound checker, and
-paired significance testing.
+"""Rank preservation reports and the sparse-perturbation rank bound checker.
 
 The Monte-Carlo checker exercises the rank chain behind the method's
 premise: for full-rank binary Y and binary N with N <= Y,
 rank(Y - N) >= rank(Y) - rank(N) >= min(n, l) - rank(N). A reported
 violation indicates a numerical-rank tolerance bug, not a counterexample.
-
-`paired_ttest` is the package's only use of scipy (`scipy.special.betainc`),
-and it imports it when called. No CLI command runs it, so importing `schirn`
-or `schirn.cli` loads no scipy.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +16,8 @@ from .solver import Model, binarize, predict_scores
 __all__ = [
     "RankReport",
     "TheoremCheckResult",
-    "TTestResult",
     "rank_report",
     "verify_rank_theorem",
-    "paired_ttest",
 ]
 
 
@@ -69,13 +61,6 @@ class TheoremCheckResult:
             "epsilon_requested": self.epsilon_requested,
             "epsilon_clipped": self.epsilon_clipped,
         }
-
-
-@dataclass(frozen=True)
-class TTestResult:
-    t_stat: float
-    p_value: float
-    verdict: str  # "win" | "tie" | "loss", from a's perspective
 
 
 def rank_report(model: Model, ds) -> RankReport:
@@ -136,46 +121,3 @@ def verify_rank_theorem(n: int, l: int, epsilon: int, trials: int, seed: int) ->
         epsilon_requested=epsilon,
         epsilon_clipped=clipped,
     )
-
-
-def paired_ttest(a, b, alpha_level: float = 0.05) -> TTestResult:
-    """Two-sided paired Student t-test on the differences a - b.
-
-    The p-value comes from the regularized incomplete beta function:
-    P(|T_nu| >= t) = I_{nu/(nu+t^2)}(nu/2, 1/2). Verdict is "win" (a larger)
-    or "loss" when p < alpha_level, "tie" otherwise. Zero-variance
-    differences with nonzero mean are reported as p = 0 with the verdict
-    from the sign; all-equal inputs are a tie with p = 1.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or b.ndim != 1 or a.size != b.size:
-        raise ValueError("paired_ttest requires two equal-length 1-D sequences")
-    if a.size < 2:
-        raise ValueError(f"paired_ttest needs at least 2 pairs, got {a.size}")
-    if not 0 < alpha_level < 1:
-        raise ValueError(f"alpha_level must lie in (0, 1), got {alpha_level}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("paired_ttest inputs must be finite")
-
-    diff = a - b
-    mean = float(diff.mean())
-    sd = float(diff.std(ddof=1))
-    if sd == 0.0:
-        if mean == 0.0:
-            return TTestResult(t_stat=0.0, p_value=1.0, verdict="tie")
-        t = math.inf if mean > 0 else -math.inf
-        return TTestResult(t_stat=t, p_value=0.0, verdict="win" if mean > 0 else "loss")
-
-    # Imported here, not at module level: importing scipy.special is most of
-    # the package's start-up time, and no CLI command runs a t-test.
-    from scipy.special import betainc
-
-    t = mean / (sd / math.sqrt(diff.size))
-    nu = diff.size - 1
-    p = float(betainc(nu / 2.0, 0.5, nu / (nu + t * t)))
-    if p < alpha_level:
-        verdict = "win" if mean > 0 else "loss"
-    else:
-        verdict = "tie"
-    return TTestResult(t_stat=float(t), p_value=p, verdict=verdict)

@@ -71,7 +71,8 @@ stayed zero hands out its final state instead, and a follower takes that
 result as its own, iteration count included: its iterates are the same up
 to there, so it would have stopped there too. Each block returns new
 arrays and never writes into the ones it was given, so a branch state
-holds the iterates by reference.
+holds the iterates by reference. prefix_chains splits a list of fits where
+one Prefix would start over, so that its chains can run apart.
 
 Ablation variants: "high-rank" is the full method; "no-rank" drops the
 nuclear term (C = G); "no-sparsity" keeps the high-rank term but freezes
@@ -97,6 +98,7 @@ __all__ = [
     "FitReport",
     "Model",
     "Prefix",
+    "prefix_chains",
     "fit",
     "update_w",
     "update_n",
@@ -281,8 +283,7 @@ class _Branch(NamedTuple):
 
     X: np.ndarray
     Y: np.ndarray
-    key: tuple
-    alpha: float
+    link: tuple
     eig: EigResult
     R: np.ndarray | None
     W: np.ndarray
@@ -298,9 +299,9 @@ class _Branch(NamedTuple):
     def finished(self) -> bool:
         return self.XW is not None
 
-    def leads(self, X, Y, key, alpha) -> bool:
-        """Whether a fit of alpha on (X, Y) with this key repeats the branch's iterates."""
-        return self.X is X and self.Y is Y and self.key == key and alpha >= self.alpha
+    def leads(self, X, Y, link) -> bool:
+        """Whether a fit on (X, Y) with this prefix link repeats the branch's iterates."""
+        return self.X is X and self.Y is Y and _follows(self.link, link)
 
     def resume(self) -> tuple[SolverState, XtProducts | None, FitReport]:
         """Fresh containers for a follower; W is copied because a Model returns it."""
@@ -322,14 +323,35 @@ class Prefix:
     branch: _Branch | None = None
 
 
-def _prefix_key(params: SchirnParams, trace: str) -> tuple:
-    """Everything two fits must share for their zero-noise prefixes to agree.
+def _prefix_link(params: SchirnParams, trace: str) -> tuple:
+    """(key, alpha): the key holds everything two fits must share for their
+    zero-noise prefixes to agree, and alpha orders them (_follows).
 
-    alpha is compared separately; threshold does not reach fit; no-sparsity
-    takes high-rank's C step.
+    threshold does not reach fit; no-sparsity takes high-rank's C step and
+    counts as alpha = infinity.
     """
-    variant = Variant.HIGH_RANK if params.variant is Variant.NO_SPARSITY else params.variant
-    return replace(params, alpha=1.0, threshold=0.5, variant=variant), trace
+    no_sparsity = params.variant is Variant.NO_SPARSITY
+    key = replace(params, alpha=1.0, threshold=0.5, variant=Variant.HIGH_RANK if no_sparsity else params.variant)
+    return (key, trace), math.inf if no_sparsity else params.alpha
+
+
+def _follows(lead: tuple, link: tuple) -> bool:
+    """Whether a fit with prefix link ``link`` repeats the zero-noise prefix of
+    one with ``lead``, on the same training arrays."""
+    return lead[0] == link[0] and link[1] >= lead[1]
+
+
+def prefix_chains(params_list) -> list[range]:
+    """The prefix chains of a list of fits on the same training arrays, in list order.
+
+    A chain is a maximal run of consecutive entries in which each fit
+    resumes its predecessor's zero-noise prefix. With one Prefix over the
+    whole list, the first fit of a chain starts over; so fitting each chain
+    with its own Prefix gives the same models from the same iterations.
+    """
+    links = [_prefix_link(params, "none") for params in params_list]  # the fits of a list share a trace level
+    starts = [i for i, link in enumerate(links) if i == 0 or not _follows(links[i - 1], link)]
+    return [range(a, b) for a, b in zip(starts, [*starts[1:], len(links)])]
 
 
 def _initial_state(n: int, d: int, l: int, params: SchirnParams) -> SolverState:
@@ -567,11 +589,10 @@ def fit(ds, params: SchirnParams, trace: str = "residual", prefix: Prefix | None
     dual = d > n  # factor the smaller Gram matrix
     lead = None
     if prefix is not None:
-        key = _prefix_key(params, trace)
-        alpha = math.inf if params.variant is Variant.NO_SPARSITY else params.alpha
+        link = _prefix_link(params, trace)
         # taken out, not copied: this fit leaves its own branch state, so the old one need not outlive it
         lead, prefix.branch = prefix.branch, None
-        if lead is not None and not lead.leads(X, Y, key, alpha):
+        if lead is not None and not lead.leads(X, Y, link):
             lead = None
 
     if lead is None:
@@ -617,7 +638,7 @@ def fit(ds, params: SchirnParams, trace: str = "residual", prefix: Prefix | None
             clean = state.W.copy(), state.C, state.Lam, state.mu, state.iter, Xt and replace(Xt)
         at = clean[4]  # the branch state's iteration count
         traces = report.objective_trace[:at], report.primal_residual_trace[:at]
-        prefix.branch = _Branch(X, Y, key, alpha, eig, R, *clean, traces, XW if finished else None)
+        prefix.branch = _Branch(X, Y, link, eig, R, *clean, traces, XW if finished else None)
     return Model(W=state.W, params=params, report=report, noise=state.N)
 
 

@@ -277,7 +277,7 @@ class TestCv:
         untraced = cli.run_cv(ds, params, k_folds=3, seed=0)
         monkeypatch.setattr(cli, "fit", traced_fit)
         job = cli._CvJob(ds, kfold_split(ds.n, 3, seed=1), [params])
-        traced = [cli._fold_reports(job, fold)[0] for fold in range(3)]
+        traced = [cli._unit_reports(job, unit)[0] for unit in range(3)]  # one unit per fold
         assert levels == ["none"] * 3
         assert traced == untraced.fold_reports
 

@@ -1,15 +1,17 @@
-"""The CV runners fit their folds in worker processes (cli._map_folds).
+"""The CV runners fit their prefix chains, fold by fold, in worker processes (cli._Workers).
 
 The oracle is the single-process runner the workers replaced, kept verbatim:
 every outcome and every output file must equal its. The process tests read
-the test process's children from /proc before and after each call.
+the test process's children from /proc before, during and after each call.
 """
 
+import gc
 import os
-import pickle
+import signal
 import subprocess
 import sys
 import time
+import warnings
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -108,14 +110,25 @@ class TestWorkersMatchTheSerialRunner:
 
 
 def test_fold_body_in_process():
-    """The workers run without pytest's warning filters, so run the fold body here
+    """The workers run without pytest's warning filters, so run the unit body here
     too: a RuntimeWarning in it fails this test."""
     ds, _ = make_synth(60, 8, 6, r=1, seed=0)
     job = cli._CvJob(ds, kfold_split(ds.n, 3, seed=1), MIXED_CHAIN)
-    by_fold = [cli._fold_reports(job, fold) for fold in range(3)]
+    by_params = [[None] * 3 for _ in MIXED_CHAIN]
+    for unit, (fold, chain) in enumerate(job.units):
+        for i, report in zip(chain, cli._unit_reports(job, unit), strict=True):
+            by_params[i][fold] = report
     outcomes = serial_run_cvs(ds, MIXED_CHAIN, 3, 0)
-    assert [[reports[i] for reports in by_fold] for i in range(len(MIXED_CHAIN))] == \
-        [outcome.fold_reports for outcome in outcomes]
+    assert by_params == [outcome.fold_reports for outcome in outcomes]
+
+
+def test_units_are_the_prefix_chains_of_each_fold():
+    # ablate: [high-rank, no-sparsity], [no-rank], [low-rank]; grid: one chain per (beta, lambda)
+    ablate_chains = [range(0, 2), range(2, 3), range(3, 4)]
+    assert cli._units(2, cli._ablate_fits(BASE)) == [(fold, c) for fold in (0, 1) for c in ablate_chains]
+    _, _, grid = cli._grid_fits(BASE, [1.5, 0.5, 1.0, 0.5], [0.05, 0.1], [10.0, 100.0])
+    assert cli._units(1, grid) == [(0, range(i, i + 4)) for i in range(0, 16, 4)]
+    assert cli._units(3, [BASE]) == [(fold, range(0, 1)) for fold in range(3)]
 
 
 def test_module_entry_point(tmp_path, synth_files):
@@ -171,6 +184,51 @@ def leaves_no_process():
     assert dict(os.environ) == environ
 
 
+def started_workers(monkeypatch, record: list) -> None:
+    """Appends to ``record`` the children started since this call that are alive when
+    cmd_experiment reads the data and when each _Workers.run starts."""
+    before = child_pids()
+    load, run = cli._load_experiment_dataset, cli._Workers.run
+
+    def watched_load(v):
+        record.append(child_pids() - before)
+        return load(v)
+
+    def watched_run(self, job):
+        record.append(child_pids() - before)
+        return run(self, job)
+
+    monkeypatch.setattr(cli, "_load_experiment_dataset", watched_load)
+    monkeypatch.setattr(cli._Workers, "run", watched_run)
+
+
+def simulate_cpus(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+# a worker whose fits fail: high-rank after a delay, every other variant at once; each unit it
+# starts is logged to LOG
+FAILING_WORKER = """
+import sys, time
+from schirn import cli
+
+def fit(ds, params, trace, prefix):
+    if params.variant.value == "high-rank":
+        time.sleep(DELAY)
+    raise ValueError(params.variant.value)
+
+unit_reports = cli._unit_reports
+
+def logged(job, unit):
+    with open(LOG, "a") as fh:
+        print(unit, file=fh)
+    return unit_reports(job, unit)
+
+cli.fit, cli._unit_reports = fit, logged
+cli._cv_worker(sys.stdin.buffer, sys.stdout.buffer)
+"""
+
+
 @needs_proc
 class TestWorkerLifetime:
     def test_runners_leave_no_process(self):
@@ -180,6 +238,31 @@ class TestWorkerLifetime:
             run_cv(ds, params, 3, 0)
             run_grid(ds, params, 5, 0, [0.5, 1.0], [0.05], [10.0])
             run_ablate(ds, params, 2, 0)
+
+    @pytest.mark.parametrize("cpus, command, folds, workers", [
+        (4, "cv", 2, 2), (4, "ablate", 3, 4), (1, "cv", 2, 1), (1, "ablate", 3, 1),
+    ])
+    def test_worker_count(self, tmp_path, synth_files, monkeypatch, cpus, command, folds, workers):
+        # a 2-fold cv has 2 units, a 3-fold ablate 9; the workers start before the data is read
+        simulate_cpus(monkeypatch, cpus)
+        seen = []
+        started_workers(monkeypatch, seen)
+        args = [command, *synth_files[1], "--folds", str(folds), "--max-iter", "10"]
+        with leaves_no_process():
+            assert main(args + ["--out", str(tmp_path / "out")]) == 0
+        assert len(seen) == 2 and len(seen[0]) == workers and seen[1] == seen[0]
+
+    @pytest.mark.parametrize("cpus, runner, folds, workers", [
+        (4, run_cv, 2, 2), (4, run_ablate, 3, 4), (1, run_cv, 2, 1), (1, run_ablate, 3, 1),
+    ], ids=["4-cv", "4-ablate", "1-cv", "1-ablate"])
+    def test_worker_count_from_python(self, monkeypatch, cpus, runner, folds, workers):
+        simulate_cpus(monkeypatch, cpus)
+        seen = []
+        started_workers(monkeypatch, seen)
+        ds, _ = make_synth(60, 8, 6, r=1, seed=0)
+        with leaves_no_process():
+            runner(ds, SchirnParams(max_iter=10), folds, 0)
+        assert [len(started) for started in seen] == [workers]
 
     def test_fold_error_keeps_its_type_and_exit_code(self, tmp_path, synth_files, capsys):
         ds, _ = synth_files
@@ -195,10 +278,29 @@ class TestWorkerLifetime:
         assert capsys.readouterr().err.splitlines()[-1] == "error: matrix contains NaN or Inf entries"
         assert not (tmp_path / "cv").exists()
 
+    def test_lowest_failing_unit_wins(self, tmp_path, monkeypatch):
+        # units 0 (fold 0, high-rank) and 1 (fold 0, no-rank) both fail, 1 first; the call
+        # waits for 0 and raises its error, as the serial runner does, and sends no other unit
+        simulate_cpus(monkeypatch, 2)
+        log = tmp_path / "units.log"
+        monkeypatch.setattr(cli, "_WORKER", f"DELAY, LOG = 1.0, {str(log)!r}\n" + FAILING_WORKER)
+        ds, _ = make_synth(60, 8, 6, r=1, seed=0)
+        params_list = [BASE, replace(BASE, variant=Variant.NO_RANK)]
+        with leaves_no_process(), pytest.raises(ValueError, match="^high-rank$"):
+            cli._run_cvs(ds, params_list, 3, 0)
+        assert sorted(log.read_text().split()) == ["0", "1"]
+        serial = {"DELAY": 0.0, "LOG": os.devnull}
+        exec(FAILING_WORKER.partition("cli.fit, ")[0], serial)
+        monkeypatch.setattr(sys.modules[__name__], "fit", serial["fit"])
+        with pytest.raises(ValueError, match="^high-rank$"):
+            serial_run_cvs(ds, params_list, 3, 0)
+
     @pytest.mark.parametrize("body, status", [
         ("import sys; sys.exit(3)", "3"),
         ("import os, signal; os.kill(os.getpid(), signal.SIGKILL)", "-9"),
-    ], ids=["exit", "killed"])
+        ("import os, pickle, signal, sys; pickle.load(sys.stdin.buffer); pickle.load(sys.stdin.buffer); "
+         "os.kill(os.getpid(), signal.SIGKILL)", "-9"),
+    ], ids=["exit", "killed", "killed-in-a-unit"])
     def test_worker_without_result_exits_1(self, tmp_path, synth_files, monkeypatch, capsys, body, status):
         _, args = synth_files
         monkeypatch.setattr(cli, "_WORKER", body)
@@ -206,26 +308,57 @@ class TestWorkerLifetime:
             assert main(["cv", *args, "--out", str(tmp_path / "cv")]) == 1
         assert capsys.readouterr().err == f"error: a CV worker exited with status {status} without a result\n"
 
-    def test_interrupt_kills_the_workers(self, monkeypatch):
-        # interrupted while sending the second job; the workers would sleep for minutes,
-        # so the call returns at once only if it kills them
-        ds, _ = make_synth(60, 8, 6, r=1, seed=0)
-        sent = []
+    @pytest.mark.parametrize("features", ["missing", "malformed"])
+    @pytest.mark.parametrize("command", ["cv", "grid", "ablate"])
+    def test_load_error_after_the_workers_started(self, tmp_path, synth_files, monkeypatch, capsys, command,
+                                                  features):
+        simulate_cpus(monkeypatch, 2)
+        seen = []
+        started_workers(monkeypatch, seen)
+        bad = tmp_path / "bad.txt"
+        if features == "malformed":
+            bad.write_text("2 2\n1.0 x\n3.0 4.0\n")
+        _, args = synth_files
+        args = [command, *args[2:], "--features", str(bad), "--out", str(tmp_path / "out")]
+        with warnings.catch_warnings(record=True) as caught, leaves_no_process():
+            warnings.simplefilter("always")
+            assert main(args) == 2
+            gc.collect()
+        assert [len(workers) for workers in seen] == [2]
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
-        class Interrupted:
-            HIGHEST_PROTOCOL = pickle.HIGHEST_PROTOCOL
+    def test_interrupt_during_the_load_kills_the_workers(self, tmp_path, synth_files, monkeypatch):
+        simulate_cpus(monkeypatch, 2)
+        seen = []
+        started_workers(monkeypatch, seen)
+        load = cli._load_experiment_dataset
 
-            @staticmethod
-            def dumps(obj, protocol):
-                if sent:
-                    raise KeyboardInterrupt
-                sent.append(obj)
-                return pickle.dumps(obj, protocol)
+        def interrupted(v):
+            load(v)
+            raise KeyboardInterrupt
 
-        monkeypatch.setattr(cli, "pickle", Interrupted)
-        monkeypatch.setattr(cli, "_WORKER", "import sys, time; sys.stdin.buffer.read(); time.sleep(120)")
-        started = time.monotonic()
+        monkeypatch.setattr(cli, "_load_experiment_dataset", interrupted)
         with leaves_no_process(), pytest.raises(KeyboardInterrupt):
-            run_cv(ds, SchirnParams(), 5, 0)
-        assert len(sent) == 1
+            main(["ablate", *synth_files[1], "--out", str(tmp_path / "out")])
+        assert [len(workers) for workers in seen] == [2]
+
+    def test_interrupt_while_the_workers_fit_kills_them(self, monkeypatch):
+        # the workers would sleep for minutes, so the call returns at once only if it kills them
+        ds, _ = make_synth(60, 8, 6, r=1, seed=0)
+        monkeypatch.setattr(cli, "_WORKER", "import sys, time; sys.stdin.buffer.read(1); time.sleep(120)")
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        started = time.monotonic()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            with leaves_no_process(), pytest.raises(KeyboardInterrupt):
+                run_cv(ds, SchirnParams(), 5, 0)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
         assert time.monotonic() - started < 60

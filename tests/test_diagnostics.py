@@ -1,88 +1,21 @@
-import math
+import ast
+import io
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
 
 import schirn
 from schirn import SchirnParams, fit
-from schirn.diagnostics import paired_ttest, rank_report, verify_rank_theorem
+from schirn.diagnostics import rank_report, verify_rank_theorem
 from schirn.linalg import numerical_rank
 from schirn.solver import Model, FitReport
 from schirn.data import Dataset
 from synthdata import make_synth
-
-
-def t_two_sided_p_oracle(t, nu):
-    """High-precision two-sided p-value by numerical quadrature of the t density."""
-    mpmath.mp.dps = 40
-    t = mpmath.mpf(abs(float(t)))
-    nu = mpmath.mpf(nu)
-    norm = mpmath.gamma((nu + 1) / 2) / (mpmath.sqrt(nu * mpmath.pi) * mpmath.gamma(nu / 2))
-
-    def pdf(x):
-        return norm * (1 + x * x / nu) ** (-(nu + 1) / 2)
-
-    return float(2 * mpmath.quad(pdf, [t, mpmath.inf]))
-
-
-class TestPairedTTest:
-    def test_equal_inputs_tie(self):
-        a = np.array([0.5, 0.6, 0.7, 0.4, 0.5])
-        out = paired_ttest(a, a.copy())
-        assert out.verdict == "tie"
-        assert out.p_value == 1.0
-        assert out.t_stat == 0.0
-
-    def test_constant_large_shift_wins(self):
-        b = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        out = paired_ttest(b + 100.0, b)
-        assert out.verdict == "win"
-        assert out.p_value == 0.0
-        assert out.t_stat == math.inf
-
-    def test_p_matches_independent_cdf(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            n = int(rng.integers(3, 12))
-            a = rng.normal(0.0, 1.0, n)
-            b = a + rng.normal(0.1, 0.5, n)
-            out = paired_ttest(a, b)
-            assert out.p_value == pytest.approx(t_two_sided_p_oracle(out.t_stat, n - 1), abs=1e-6)
-
-    def test_antisymmetric(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(0.6, 0.05, 5)
-        b = rng.normal(0.4, 0.05, 5)
-        fwd = paired_ttest(a, b)
-        rev = paired_ttest(b, a)
-        assert fwd.p_value == rev.p_value
-        assert fwd.t_stat == -rev.t_stat
-        assert {fwd.verdict, rev.verdict} in ({"win", "loss"}, {"tie"})
-
-    def test_significance_gate(self):
-        a = np.array([0.9, 0.91, 0.89, 0.9, 0.92])
-        b = np.array([0.1, 0.12, 0.11, 0.09, 0.1])
-        assert paired_ttest(a, b, alpha_level=0.05).verdict == "win"
-        assert paired_ttest(b, a, alpha_level=0.05).verdict == "loss"
-
-    @pytest.mark.parametrize(
-        "a,b,alpha",
-        [
-            ([1.0], [2.0], 0.05),
-            ([1.0, 2.0], [1.0, 2.0, 3.0], 0.05),
-            ([1.0, 2.0], [1.0, 2.0], 0.0),
-            ([1.0, 2.0], [1.0, 2.0], 1.0),
-            ([1.0, np.nan], [1.0, 2.0], 0.05),
-        ],
-    )
-    def test_rejects_bad_inputs(self, a, b, alpha):
-        with pytest.raises(ValueError):
-            paired_ttest(a, b, alpha)
 
 
 def run_fresh(code: str) -> str:
@@ -96,14 +29,26 @@ def run_fresh(code: str) -> str:
     return out.stdout.strip()
 
 
+def test_no_module_imports_scipy():
+    """numpy is the package's only runtime dependency."""
+    for path in sorted(Path(schirn.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not [name for name in names if name.split(".")[0] == "scipy"], path.name
+
+
 @pytest.mark.parametrize("module", ["schirn", "schirn.cli"])
-def test_import_loads_no_scipy(module):
-    """scipy serves only paired_ttest, and subprocess only the CV runners, which
-    import it when they start their workers; importing the package or the CLI
-    must pay the start-up cost of neither."""
+def test_import_loads_no_subprocess(module):
+    """subprocess and selectors serve only the CV runners, which import them when they
+    start and feed their workers; importing the package or the CLI must pay for neither."""
     code = (
         f"import sys, {module}\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'subprocess')))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'subprocess', 'selectors')))"
     )
     assert run_fresh(code) == "[]"
 
@@ -112,9 +57,6 @@ def test_ablate_loads_no_numpy_ma(tmp_path):
     """numpy.ma costs about 12 ms to import, and np.unique imports it: neither
     an ablate run nor the CV worker interpreter that runs its fits and scoring
     may load it."""
-    import pickle
-    from dataclasses import replace
-
     from schirn import cli, kfold_split
     from schirn.data import save_matrix
 
@@ -131,14 +73,17 @@ def test_ablate_loads_no_numpy_ma(tmp_path):
     )
     assert run_fresh(code) == "0 False"
 
-    # the worker of those fits, fed as cli._map_folds feeds it, reports its modules on stderr
-    chain = [replace(SchirnParams(), variant=v) for v in cli._ABLATION_RUN_ORDER]
-    job = cli._CvJob(ds, kfold_split(ds.n, 3, seed=1), chain)
+    # one worker fed every unit of those fits, as cli._Workers feeds its workers, reports its
+    # modules on stderr
+    job = cli._CvJob(ds, kfold_split(ds.n, 3, seed=1), cli._ablate_fits(SchirnParams()))
+    units = range(len(job.units))
     probe = cli._WORKER + "; print('numpy.ma' in sys.modules, file=sys.stderr)"
-    out = subprocess.run([sys.executable, "-c", probe], input=pickle.dumps((job, [0, 1, 2])),
+    feed = b"".join(pickle.dumps(message) for message in (job, *units))
+    out = subprocess.run([sys.executable, "-c", probe], input=feed,
                          env=cli._worker_env(), capture_output=True, check=True, timeout=120)
-    done, error = pickle.loads(out.stdout)
-    assert error is None and len(done) == 3
+    answers = io.BytesIO(out.stdout)
+    assert [pickle.load(answers)[1] for _ in units] == [None] * 9
+    assert answers.read() == b""
     assert out.stderr.decode().strip() == "False"
 
 

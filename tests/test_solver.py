@@ -786,8 +786,52 @@ def assert_same_fit(a, b):
     assert a.report == b.report
 
 
+_CHAIN_PARAMS = st.builds(
+    default_params,
+    alpha=st.sampled_from([0.3, 0.5, 1.0, 100.0]),
+    beta=st.sampled_from([0.05, 0.5]),
+    lam=st.sampled_from([10.0, 9.0]),
+    threshold=st.sampled_from([0.5, 0.7]),
+    variant=st.sampled_from(list(Variant)),
+    max_iter=st.just(60),
+)
+
+
 class TestSharedPrefix:
     """A fit resumed from another fit's zero-noise prefix equals the same fit from scratch."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(params_list=st.lists(_CHAIN_PARAMS, max_size=6))
+    def test_prefix_chains_split_where_one_prefix_starts_over(self, params_list):
+        # noise enters N after iteration 40 at alpha = 0.5, and never at alpha = 100
+        ds, _ = make_synth(60, 8, 6, r=1, seed=0)
+        chains = solver.prefix_chains(params_list)
+        assert all(chains) and [i for chain in chains for i in chain] == list(range(len(params_list)))
+        calls = []
+        update_w = solver.update_w
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return update_w(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "update_w", counted)
+            prefix = solver.Prefix()
+            whole = [fit(ds, params, trace="none", prefix=prefix) for params in params_list]
+            steps = len(calls)
+            split, resumed = [], []
+            for chain in chains:
+                prefix = solver.Prefix()
+                for i in chain:
+                    calls.clear()
+                    split.append(fit(ds, params_list[i], trace="none", prefix=prefix))
+                    resumed.append(len(calls) < 60)
+                    steps -= len(calls)
+        for a, b in zip(whole, split, strict=True):
+            assert_same_fit(a, b)
+        assert steps == 0
+        # N is zero after the first iteration, so a fit that resumes skips at least one step
+        assert resumed == [i != chain.start for chain in chains for i in chain]
 
     @pytest.fixture
     def w_steps(self, monkeypatch):
