@@ -35,7 +35,7 @@ from .data import (Dataset, FoldSplit, MatrixFormatError, NoiseSpec, describe, d
 from .diagnostics import rank_report, verify_rank_theorem
 from .linalg import NumericalError
 from .metrics import evaluate_all
-from .solver import (Prefix, SchirnParams, Variant, binarize, fit, load_model, predict_scores, prefix_chains,
+from .solver import (SchirnParams, Variant, binarize, fit, fit_chain, load_model, predict_scores, prefix_chains,
                      save_model)
 
 __all__ = ["main", "run_ablate", "run_cv", "run_grid"]
@@ -195,14 +195,12 @@ def run_cv(ds: Dataset, params: SchirnParams, k_folds: int, seed: int) -> CvOutc
     return _run_cvs(ds, [params], k_folds, seed)[0]
 
 
-def _run_cvs(ds: Dataset, params_list, k_folds: int, seed: int) -> list[CvOutcome]:
+def _run_cvs(ds: Dataset, params_list, k_folds: int, seed: int, workers=None) -> list[CvOutcome]:
     """run_cv for each params on the same folds. The unit of work is one prefix chain
-    (solver.prefix_chains) of one fold, run in a worker process (_Workers); a chain's fits
-    run in list order and share their zero-noise prefixes (solver.Prefix), so list
-    ascending alphas together."""
-    global _started
+    (solver.prefix_chains) of one fold, run in a worker process by solver.fit_chain, so
+    list ascending alphas together. ``workers`` are _Workers started for this call
+    (started here when None); they serve no other, and are closed on return."""
     job = _CvJob(ds, kfold_split(ds.n, k_folds, seed=seed + 1), list(params_list))
-    workers, _started = _started, None  # workers started for this call serve no other
     with workers or _Workers(_worker_count(len(job.units))) as workers:
         results = workers.run(job)
     by_params = [[None] * k_folds for _ in job.params_list]
@@ -240,12 +238,10 @@ def _unit_reports(job: _CvJob, unit: int) -> list:
     tr = split.train_indices(fold)
     te = split.test_indices(fold)
     train, X_test, T_test = Dataset(X=ds.X[tr], Y=ds.Y[tr]), ds.X[te], target[te]
-    prefix = Prefix()
     reports = []
-    for params in (job.params_list[i] for i in chain):
-        model = fit(train, params, trace="none", prefix=prefix)
+    for model in fit_chain(train, job.params_list[chain.start:chain.stop]):
         scores = predict_scores(model, X_test)
-        reports.append(evaluate_all(scores, binarize(scores, params.threshold), T_test))
+        reports.append(evaluate_all(scores, binarize(scores, model.params.threshold), T_test))
     return reports
 
 
@@ -364,10 +360,6 @@ def _ended(proc) -> ChildProcessError:
     return ChildProcessError(f"a CV worker exited with status {proc.wait()} without a result")
 
 
-# the workers that cmd_experiment started before it read the data, for its one _run_cvs call
-_started: _Workers | None = None
-
-
 def _cv_worker(stdin, stdout) -> None:
     """Body of a _Workers worker: reads the job, then unit indices until its input ends, and
     answers each unit with (its reports, None), or (None, the exception that stopped it).
@@ -407,29 +399,31 @@ def run_grid(ds: Dataset, params: SchirnParams, k_folds: int, seed: int, alphas,
     A grid list given as None is its default search range. The rows are
     those of one run_cv per cell.
     """
-    cells, order, chain = _grid_fits(params, alphas, betas, lambdas)
-    by_cell = dict(zip(order, _run_cvs(ds, chain, k_folds, seed)))
-    rows = [{"alpha": a, "beta": b, "lambda": lam, "mean": by_cell[i].mean, "std": by_cell[i].std}
-            for i, (a, b, lam) in enumerate(cells)]
-    rows.sort(key=lambda r: (-r["mean"]["average_precision"], r["alpha"], r["beta"], r["lambda"]))
-    for i, row in enumerate(rows):
-        row["best"] = i == 0
-    return rows
+    fits = _grid_fits(params, alphas, betas, lambdas)
+    return _grid_rows(fits, _run_cvs(ds, fits, k_folds, seed))
 
 
-def _grid_fits(params: SchirnParams, alphas, betas, lambdas) -> tuple[list, list, list]:
-    """The grid's (alpha, beta, lambda) cells, the order they run in, and their params in that
-    order: each (beta, lambda)'s cells in ascending alpha, so that each resumes from the
-    zero-noise prefix of the one before."""
+def _grid_fits(params: SchirnParams, alphas, betas, lambdas) -> list:
+    """The grid's cells as params, in the order they run: each (beta, lambda)'s cells in
+    ascending alpha, so that each resumes from the zero-noise prefix of the one before."""
     alphas = DEFAULT_GRID_ALPHA if alphas is None else alphas
     betas = DEFAULT_GRID_BETA if betas is None else betas
     lambdas = DEFAULT_GRID_LAMBDA if lambdas is None else lambdas
     for name, lst in (("alpha", alphas), ("beta", betas), ("lambda", lambdas)):
         if not lst:
             raise ValueError(f"grid list for {name} is empty")
-    cells = list(product(alphas, betas, lambdas))
-    order = sorted(range(len(cells)), key=lambda i: (cells[i][1], cells[i][2], cells[i][0]))
-    return cells, order, [replace(params, alpha=a, beta=b, lam=lam) for a, b, lam in (cells[i] for i in order)]
+    cells = sorted(product(alphas, betas, lambdas), key=lambda cell: (cell[1], cell[2], cell[0]))
+    return [replace(params, alpha=a, beta=b, lam=lam) for a, b, lam in cells]
+
+
+def _grid_rows(fits, outcomes) -> list[dict]:
+    """run_grid's rows from the CV outcome of each fit, best first."""
+    rows = [{"alpha": p.alpha, "beta": p.beta, "lambda": p.lam, "mean": o.mean, "std": o.std}
+            for p, o in zip(fits, outcomes)]
+    rows.sort(key=lambda r: (-r["mean"]["average_precision"], r["alpha"], r["beta"], r["lambda"]))
+    for i, row in enumerate(rows):
+        row["best"] = i == 0
+    return rows
 
 
 ABLATION_ORDER = (Variant.HIGH_RANK, Variant.NO_RANK, Variant.NO_SPARSITY, Variant.LOW_RANK)
@@ -443,7 +437,12 @@ def _ablate_fits(params: SchirnParams) -> list:
 
 def run_ablate(ds: Dataset, params: SchirnParams, k_folds: int, seed: int) -> list[dict]:
     """Four CV runs differing only in the variant, same seed and folds."""
-    by_variant = dict(zip(_ABLATION_RUN_ORDER, _run_cvs(ds, _ablate_fits(params), k_folds, seed)))
+    return _ablate_rows(_run_cvs(ds, _ablate_fits(params), k_folds, seed))
+
+
+def _ablate_rows(outcomes) -> list[dict]:
+    """run_ablate's rows, in ABLATION_ORDER, from the CV outcomes of _ablate_fits."""
+    by_variant = dict(zip(_ABLATION_RUN_ORDER, outcomes))
     return [{"variant": v.value, "mean": by_variant[v].mean, "std": by_variant[v].std} for v in ABLATION_ORDER]
 
 
@@ -463,8 +462,8 @@ def _mean_std_cells(row) -> list:
     return [_fmt(row[stat][name]) for name in METRIC_FIELDS for stat in _STATS]
 
 
-def _cv_table(ds, params, v):
-    outcome = run_cv(ds, params, v["folds"], v["seed"])
+def _cv_table(params, fits, outcomes):
+    outcome = outcomes[0]
     rows = [[fold, *(_fmt(getattr(rep, name)) for name in METRIC_FIELDS), rep.rows_scored, rep.rows_total]
             for fold, rep in enumerate(outcome.fold_reports)]
     rows += [[stat, *(_fmt(getattr(outcome, stat)[name]) for name in METRIC_FIELDS), "", ""] for stat in _STATS]
@@ -478,26 +477,27 @@ def _cv_table(ds, params, v):
     return ["fold", *METRIC_COLUMNS, "rows_scored", "rows_total"], rows, payload
 
 
-def _grid_table(ds, params, v):
-    cells = run_grid(ds, params, v["folds"], v["seed"], v["grid_alpha"], v["grid_beta"], v["grid_lambda"])
+def _grid_table(params, fits, outcomes):
+    cells = _grid_rows(fits, outcomes)
     rows = [[_fmt(c["alpha"]), _fmt(c["beta"]), _fmt(c["lambda"]), *_mean_std_cells(c), int(c["best"])]
             for c in cells]
     payload = {"cells": cells, "best": cells[0], "fixed_params": params.to_dict()}
     return ["alpha", "beta", "lambda", *_MEAN_STD_COLUMNS, "best"], rows, payload
 
 
-def _ablate_table(ds, params, v):
-    variants = run_ablate(ds, params, v["folds"], v["seed"])
+def _ablate_table(params, fits, outcomes):
+    variants = _ablate_rows(outcomes)
     rows = [[row["variant"], *_mean_std_cells(row)] for row in variants]
     return ["variant", *_MEAN_STD_COLUMNS], rows, {"rows": variants, "base_params": params.to_dict()}
 
 
-# output file stem, table, and the fits that _run_cvs runs on each fold, of each CV experiment
+# output file stem, the fits that _run_cvs runs on each fold, and the table of their outcomes, of
+# each CV experiment
 _EXPERIMENTS = {
-    "cv": ("cv_results", _cv_table, lambda params, v: [params]),
-    "grid": ("grid_results", _grid_table,
-             lambda params, v: _grid_fits(params, v["grid_alpha"], v["grid_beta"], v["grid_lambda"])[2]),
-    "ablate": ("ablation", _ablate_table, lambda params, v: _ablate_fits(params)),
+    "cv": ("cv_results", lambda params, v: [params], _cv_table),
+    "grid": ("grid_results", lambda params, v: _grid_fits(params, v["grid_alpha"], v["grid_beta"], v["grid_lambda"]),
+             _grid_table),
+    "ablate": ("ablation", lambda params, v: _ablate_fits(params), _ablate_table),
 }
 
 _CONVENTIONS = {
@@ -556,14 +556,15 @@ def cmd_predict(v: dict) -> None:
 
 
 def cmd_eval(v: dict) -> None:
+    threshold = SchirnParams(threshold=v["threshold"]).threshold  # checked as fit's threshold is
     scores = load_matrix(v["scores"])
     truth = load_matrix(v["truth"], binary=True)
     if v["pred"] is not None:
         pred = load_matrix(v["pred"], binary=True)
     else:
-        pred = binarize(scores, v["threshold"])
+        pred = binarize(scores, threshold)
     report = evaluate_all(scores, pred, truth)
-    _write_json(v["out"], {"metrics": report.as_dict(), "threshold": v["threshold"], "conventions": _CONVENTIONS})
+    _write_json(v["out"], {"metrics": report.as_dict(), "threshold": threshold, "conventions": _CONVENTIONS})
 
 
 def cmd_experiment(v: dict) -> None:
@@ -571,16 +572,13 @@ def cmd_experiment(v: dict) -> None:
 
     The CV workers start before the data is read, so that their start-up overlaps the parse.
     """
-    global _started
     params = SchirnParams.from_mapping(v)
-    stem, tabulate, fits = _EXPERIMENTS[v["command"]]
-    units = len(_units(v["folds"], fits(params, v)))
-    with _Workers(_worker_count(units)) as _started:
-        try:
-            ds = _load_experiment_dataset(v)
-            header, rows, payload = tabulate(ds, params, v)
-        finally:
-            _started = None  # if _run_cvs was not reached
+    stem, make_fits, tabulate = _EXPERIMENTS[v["command"]]
+    fits = make_fits(params, v)
+    with _Workers(_worker_count(len(_units(v["folds"], fits)))) as workers:
+        ds = _load_experiment_dataset(v)
+        outcomes = _run_cvs(ds, fits, v["folds"], v["seed"], workers)
+    header, rows, payload = tabulate(params, fits, outcomes)
     out_dir = Path(v["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / f"{stem}.csv", "w", encoding="utf-8", newline="") as fh:

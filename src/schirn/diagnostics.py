@@ -74,7 +74,7 @@ def rank_report(model: Model, ds) -> RankReport:
     )
 
 
-def _draw_full_rank_binary(rng: np.random.Generator, n: int, l: int) -> np.ndarray:
+def _draw_full_rank_binary(rng: "np.random.Generator", n: int, l: int) -> np.ndarray:
     target = min(n, l)
     for _ in range(1000):
         Y = rng.integers(0, 2, size=(n, l)).astype(np.float64)

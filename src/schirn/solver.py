@@ -62,17 +62,17 @@ f - 1, where f is the first iteration whose N step gives the smaller-alpha
 run a non-zero N: the same C has not crossed the smaller threshold, so it
 cannot cross the larger one. No-sparsity counts as alpha = infinity: its
 C step is high-rank's, and its frozen N = 0 is high-rank's N before
-iteration f. The two runs must agree on the training arrays, the trace
-level and every other SchirnParams field but threshold (which fit does
-not read), high-rank and no-sparsity counting as one variant.
-fit(..., prefix=Prefix()) hands out that state (the branch state, the
-set-up included) and resumes from one in the same loop. A run whose N
-stayed zero hands out its final state instead, and a follower takes that
-result as its own, iteration count included: its iterates are the same up
-to there, so it would have stopped there too. Each block returns new
-arrays and never writes into the ones it was given, so a branch state
-holds the iterates by reference. prefix_chains splits a list of fits where
-one Prefix would start over, so that its chains can run apart.
+iteration f. The two runs must agree on every other SchirnParams field
+but threshold (which fit does not read), high-rank and no-sparsity
+counting as one variant. prefix_chains splits a list of fits into runs
+in which each fit repeats its predecessor's prefix, and fit_chain fits
+each such run on one pair of training arrays, each fit resuming from the
+state its predecessor had at f - 1. A run whose N stayed zero hands on
+its final state instead, and its follower takes that result as its own,
+iteration count included: its iterates are the same up to there, so it
+would have stopped there too. Each block returns new arrays and never
+writes into the ones it was given, so a handed-on state holds the
+iterates by reference.
 
 Ablation variants: "high-rank" is the full method; "no-rank" drops the
 nuclear term (C = G); "no-sparsity" keeps the high-rank term but freezes
@@ -97,9 +97,9 @@ __all__ = [
     "XtProducts",
     "FitReport",
     "Model",
-    "Prefix",
     "prefix_chains",
     "fit",
+    "fit_chain",
     "update_w",
     "update_n",
     "update_c",
@@ -274,83 +274,47 @@ class Model:
 
 
 class _Branch(NamedTuple):
-    """A fit's state after its last iteration with N = 0, with the fit's set-up.
+    """An untraced fit's state after its last iteration with N = 0, with its W-step factors.
 
     N is zero by definition and is not kept. XW, the final X W, is kept only
     when the fit ended at this state (N stayed zero throughout): a follower
     then takes this result, final rank included, and runs no iteration.
     """
 
-    X: np.ndarray
-    Y: np.ndarray
-    link: tuple
     eig: EigResult
-    R: np.ndarray | None
     W: np.ndarray
     C: np.ndarray
     Lam: np.ndarray
     mu: float
     iter: int
     Xt: XtProducts | None
-    traces: tuple[list[float], list[float]]
     XW: np.ndarray | None
 
-    @property
-    def finished(self) -> bool:
-        return self.XW is not None
 
-    def leads(self, X, Y, link) -> bool:
-        """Whether a fit on (X, Y) with this prefix link repeats the branch's iterates."""
-        return self.X is X and self.Y is Y and _follows(self.link, link)
-
-    def resume(self) -> tuple[SolverState, XtProducts | None, FitReport]:
-        """Fresh containers for a follower; W is copied because a Model returns it."""
-        state = SolverState(W=self.W.copy(), N=np.zeros_like(self.C), C=self.C, Lam=self.Lam, mu=self.mu,
-                            iter=self.iter)
-        report = FitReport(objective_trace=list(self.traces[0]), primal_residual_trace=list(self.traces[1]))
-        return state, self.Xt and replace(self.Xt), report
-
-
-class Prefix:
-    """Carries the branch state from one fit to the next; see fit and the module docstring.
-
-    Give one Prefix to a run of fits on the same training arrays (the same
-    objects, left unchanged in between), in ascending alpha. A fit resumes
-    from the branch state of the previous fit when that one repeats its
-    prefix, starts over otherwise, and leaves its own branch state here.
-    """
-
-    branch: _Branch | None = None
-
-
-def _prefix_link(params: SchirnParams, trace: str) -> tuple:
+def _prefix_link(params: SchirnParams) -> tuple:
     """(key, alpha): the key holds everything two fits must share for their
-    zero-noise prefixes to agree, and alpha orders them (_follows).
+    zero-noise prefixes to agree, and a fit repeats the prefix of one with
+    the same key and an alpha no larger than its own.
 
     threshold does not reach fit; no-sparsity takes high-rank's C step and
     counts as alpha = infinity.
     """
     no_sparsity = params.variant is Variant.NO_SPARSITY
     key = replace(params, alpha=1.0, threshold=0.5, variant=Variant.HIGH_RANK if no_sparsity else params.variant)
-    return (key, trace), math.inf if no_sparsity else params.alpha
-
-
-def _follows(lead: tuple, link: tuple) -> bool:
-    """Whether a fit with prefix link ``link`` repeats the zero-noise prefix of
-    one with ``lead``, on the same training arrays."""
-    return lead[0] == link[0] and link[1] >= lead[1]
+    return key, math.inf if no_sparsity else params.alpha
 
 
 def prefix_chains(params_list) -> list[range]:
     """The prefix chains of a list of fits on the same training arrays, in list order.
 
     A chain is a maximal run of consecutive entries in which each fit
-    resumes its predecessor's zero-noise prefix. With one Prefix over the
-    whole list, the first fit of a chain starts over; so fitting each chain
-    with its own Prefix gives the same models from the same iterations.
+    repeats its predecessor's zero-noise prefix (module docstring); the
+    chains can be fitted apart (fit_chain on each) with the same models
+    from the same iterations.
     """
-    links = [_prefix_link(params, "none") for params in params_list]  # the fits of a list share a trace level
-    starts = [i for i, link in enumerate(links) if i == 0 or not _follows(links[i - 1], link)]
+    links = [_prefix_link(params) for params in params_list]
+    starts = [i for i, (key, alpha) in enumerate(links)
+              if i == 0 or key != links[i - 1][0] or alpha < links[i - 1][1]]
     return [range(a, b) for a, b in zip(starts, [*starts[1:], len(links)])]
 
 
@@ -562,7 +526,7 @@ def objective(state: SolverState, X: np.ndarray, Y: np.ndarray, params: SchirnPa
     return fit_term + sparsity_term + rank_term + ridge_term
 
 
-def fit(ds, params: SchirnParams, trace: str = "residual", prefix: Prefix | None = None) -> Model:
+def fit(ds, params: SchirnParams, trace: str = "residual") -> Model:
     """Run the full ALM loop on a dataset; deterministic for fixed inputs.
 
     Executes max_iter iterations of W -> N -> C -> multiplier -> penalty
@@ -571,44 +535,63 @@ def fit(ds, params: SchirnParams, trace: str = "residual", prefix: Prefix | None
     matrix together with the objective and residual traces. With
     trace="none" both traces stay empty and the objective is never
     evaluated; everything else is bit-identical to the default "residual".
-
-    With a ``prefix``, the fit resumes from the branch state it holds when
-    that state's fit shares this one's zero-noise prefix, and leaves its
-    own branch state in it (module docstring). The result is bit-identical
-    to a fit without one.
     """
     if trace not in TRACE_LEVELS:
         raise ValueError(f"trace must be one of {TRACE_LEVELS}, got {trace!r}")
-    traced = trace == "residual"
+    return _fit(*_training_arrays(ds), params, trace == "residual")[0]
+
+
+def fit_chain(ds, params_list) -> list[Model]:
+    """[fit(ds, params, trace="none") for params in params_list], bit for bit.
+
+    Within each of prefix_chains(params_list), a fit resumes from the
+    zero-noise prefix of the fit before it (module docstring) and skips
+    the W, N, C and multiplier steps of the iterations they share, so list
+    fits that differ only in alpha in ascending alpha. The models share no
+    arrays.
+    """
+    X, Y = _training_arrays(ds)
+    models = []
+    for chain in prefix_chains(params_list):
+        lead = None
+        for i in chain:
+            model, lead = _fit(X, Y, params_list[i], False, lead=lead, keep=i + 1 < chain.stop)
+            models.append(model)
+    return models
+
+
+def _training_arrays(ds) -> tuple[np.ndarray, np.ndarray]:
     X = as_matrix(ds.X, "X")
     Y = as_matrix(ds.Y, "Y")
     if X.shape[0] != Y.shape[0]:
         raise ValueError(f"X has {X.shape[0]} rows but Y has {Y.shape[0]}")
+    return X, Y
+
+
+def _fit(X, Y, params: SchirnParams, traced: bool, lead: _Branch | None = None,
+         keep: bool = False) -> tuple[Model, _Branch | None]:
+    """The ALM loop of fit and fit_chain: the model and, with ``keep``, its _Branch.
+
+    ``lead`` is the _Branch of an untraced fit on the same X and Y whose
+    zero-noise prefix this one repeats; the loop resumes from it.
+    """
     n, d = X.shape
     l = Y.shape[1]
     dual = d > n  # factor the smaller Gram matrix
-    lead = None
-    if prefix is not None:
-        link = _prefix_link(params, trace)
-        # taken out, not copied: this fit leaves its own branch state, so the old one need not outlive it
-        lead, prefix.branch = prefix.branch, None
-        if lead is not None and not lead.leads(X, Y, link):
-            lead = None
-
     if lead is None:
         state = _initial_state(n, d, l, params)
         eig = sym_eig(_sym_gram(X, dual))
-        R = np.linalg.qr(X, mode="r") if traced and _nuclear_sign(params.variant) != 0.0 else None
         Xt = XtProducts.start(X, Y, state) if not dual and l <= n else None
-        report = FitReport()
         XW = np.zeros((n, l))  # X @ W for W = 0, the final rank when max_iter = 0
     else:
-        state, Xt, report = lead.resume()
-        eig, R, XW = lead.eig, lead.R, lead.XW  # XW is None mid-run: the loop sets it before any use
+        state = SolverState(W=lead.W, N=np.zeros_like(lead.C), C=lead.C, Lam=lead.Lam, mu=lead.mu, iter=lead.iter)
+        eig, Xt, XW = lead.eig, lead.Xt, lead.XW  # XW is None mid-run: the loop sets it before any use
+    R = np.linalg.qr(X, mode="r") if traced and _nuclear_sign(params.variant) != 0.0 else None
+    report = FitReport()
     # a finished lead's stop is this fit's stop: its next iteration would be one too many
-    end = state.iter if lead is not None and lead.finished else params.max_iter
+    end = state.iter if lead is not None and lead.XW is not None else params.max_iter
     for _ in range(state.iter, end):
-        if prefix is not None and report.first_noise_iter is None:
+        if keep and report.first_noise_iter is None:
             clean = state.W, state.C, state.Lam, state.mu, state.iter, Xt and replace(Xt)  # before this iteration
         state.W = update_w(state, X, params, eig=eig, dual=dual, Xt=Xt)
         XW = X @ state.W
@@ -632,14 +615,12 @@ def fit(ds, params: SchirnParams, trace: str = "residual", prefix: Prefix | None
 
     report.iterations_run = state.iter
     report.final_rank_XW = numerical_rank(XW)
-    if prefix is not None:
-        finished = report.first_noise_iter is None
-        if finished:
-            clean = state.W.copy(), state.C, state.Lam, state.mu, state.iter, Xt and replace(Xt)
-        at = clean[4]  # the branch state's iteration count
-        traces = report.objective_trace[:at], report.primal_residual_trace[:at]
-        prefix.branch = _Branch(X, Y, link, eig, R, *clean, traces, XW if finished else None)
-    return Model(W=state.W, params=params, report=report, noise=state.N)
+    model = Model(W=state.W, params=params, report=report, noise=state.N)
+    if not keep:
+        return model, None
+    if report.first_noise_iter is None:  # finished at the branch state; W is copied because the model holds it
+        return model, _Branch(eig, state.W.copy(), state.C, state.Lam, state.mu, state.iter, Xt, XW)
+    return model, _Branch(eig, *clean, None)
 
 
 def predict_scores(model: Model, X_test) -> np.ndarray:

@@ -125,14 +125,28 @@ class TestFit:
         assert rc == 1
         assert "synthetic failure" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag,value", [("--alpha", "nan"), ("--lambda", "inf"), ("--beta", "nan")])
+    @pytest.mark.parametrize("flag,value", [("--alpha", "nan"), ("--lambda", "inf"), ("--beta", "nan"),
+                                            ("--threshold", "nan"), ("--threshold", "inf")])
     def test_non_finite_hyperparameter_exits_2(self, synth_files, tmp_path, capsys, flag, value):
         paths, _ = synth_files
         out = tmp_path / "m"
-        rc = main(["fit", "--features", str(paths["features"]), "--labels", str(paths["labels"]),
-                   flag, value, "--out", str(out)])
+        if flag == "--threshold":  # eval's one hyperparameter
+            args = ["eval", "--scores", str(paths["labels"]), "--truth", str(paths["truth"])]
+        else:
+            args = ["fit", "--features", str(paths["features"]), "--labels", str(paths["labels"])]
+        rc = main(args + [flag, value, "--out", str(out)])
         assert rc == 2
         assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "1", "2"])
+    def test_eval_threshold_out_of_range_exits_2(self, synth_files, tmp_path, capsys, value):
+        paths, _ = synth_files
+        out = tmp_path / "eval.json"
+        rc = main(["eval", "--scores", str(paths["labels"]), "--truth", str(paths["truth"]),
+                   "--threshold", value, "--out", str(out)])
+        assert rc == 2
+        assert "threshold must lie in (0, 1)" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -268,17 +282,17 @@ class TestCv:
 
         ds, _ = make_synth(60, 8, 6, r=1, seed=0)
         params = SchirnParams(alpha=0.5, beta=0.5, variant=variant)
-        levels = []
+        chains = []
 
-        def traced_fit(ds_, params_, trace="residual", prefix=None):
-            levels.append(trace)
-            return fit(ds_, params_, prefix=prefix)
+        def traced_fit_chain(ds_, params_list):
+            chains.append(params_list)
+            return [fit(ds_, params_) for params_ in params_list]
 
         untraced = cli.run_cv(ds, params, k_folds=3, seed=0)
-        monkeypatch.setattr(cli, "fit", traced_fit)
+        monkeypatch.setattr(cli, "fit_chain", traced_fit_chain)
         job = cli._CvJob(ds, kfold_split(ds.n, 3, seed=1), [params])
         traced = [cli._unit_reports(job, unit)[0] for unit in range(3)]  # one unit per fold
-        assert levels == ["none"] * 3
+        assert chains == [[params]] * 3
         assert traced == untraced.fold_reports
 
 
@@ -455,10 +469,9 @@ class TestPrefixSharingMatchesSerialRunners:
         args = [command, "--features", str(paths["features"]), "--labels", str(paths["labels"]),
                 "--truth", str(paths["truth"]), "--folds", "3", "--seed", "1"]
         if command == "grid":
-            args += ["--grid-alpha", "1.5,0.5,1.0,0.5", "--grid-beta", "0.05,0.1", "--grid-lambda", "10"]
+            args += ["--grid-alpha", ",".join(map(str, ALPHAS)), "--grid-beta", "0.05,0.1", "--grid-lambda", "10"]
         assert main(args + ["--out", str(tmp_path / "shared")]) == 0
-        monkeypatch.setattr(cli, "run_grid", serial_grid)
-        monkeypatch.setattr(cli, "run_ablate", serial_ablate)
+        monkeypatch.setattr(cli, "_run_cvs", serial_run_cvs)
         assert main(args + ["--out", str(tmp_path / "serial")]) == 0
         names = sorted(p.name for p in (tmp_path / "serial").iterdir())
         assert names == sorted(p.name for p in (tmp_path / "shared").iterdir()) and len(names) == 2

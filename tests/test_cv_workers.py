@@ -1,6 +1,6 @@
 """The CV runners fit their prefix chains, fold by fold, in worker processes (cli._Workers).
 
-The oracle is the single-process runner the workers replaced, kept verbatim:
+The oracle is a single-process runner that fits every cell from scratch:
 every outcome and every output file must equal its. The process tests read
 the test process's children from /proc before, during and after each call.
 """
@@ -23,12 +23,15 @@ from schirn import cli
 from schirn.cli import main, run_ablate, run_cv, run_grid
 from schirn.data import save_matrix
 from schirn.metrics import evaluate_all
-from schirn.solver import Prefix, binarize, fit, predict_scores
+from schirn.solver import binarize, fit, predict_scores
 from synthdata import make_synth
 
 
-def serial_run_cvs(ds, params_list, k_folds, seed):
-    """cli._run_cvs before the folds moved into workers, verbatim."""
+def serial_run_cvs(ds, params_list, k_folds, seed, workers=None):
+    """cli._run_cvs in this process, each fit from scratch; ``workers`` (as cmd_experiment
+    passes them) are closed unused."""
+    if workers is not None:
+        workers.close()
     split = kfold_split(ds.n, k_folds, seed=seed + 1)
     target = ds.Y_true if ds.Y_true is not None else ds.Y
     eval_target = "truth" if ds.Y_true is not None else "candidates"
@@ -37,9 +40,8 @@ def serial_run_cvs(ds, params_list, k_folds, seed):
         tr = split.train_indices(fold)
         te = split.test_indices(fold)
         train, X_test, T_test = Dataset(X=ds.X[tr], Y=ds.Y[tr]), ds.X[te], target[te]
-        prefix = Prefix()
         for params, fold_reports in zip(params_list, reports):
-            model = fit(train, params, trace="none", prefix=prefix)
+            model = fit(train, params, trace="none")
             scores = predict_scores(model, X_test)
             fold_reports.append(evaluate_all(scores, binarize(scores, params.threshold), T_test))
     return [cli._cv_outcome(fold_reports, eval_target) for fold_reports in reports]
@@ -126,7 +128,7 @@ def test_units_are_the_prefix_chains_of_each_fold():
     # ablate: [high-rank, no-sparsity], [no-rank], [low-rank]; grid: one chain per (beta, lambda)
     ablate_chains = [range(0, 2), range(2, 3), range(3, 4)]
     assert cli._units(2, cli._ablate_fits(BASE)) == [(fold, c) for fold in (0, 1) for c in ablate_chains]
-    _, _, grid = cli._grid_fits(BASE, [1.5, 0.5, 1.0, 0.5], [0.05, 0.1], [10.0, 100.0])
+    grid = cli._grid_fits(BASE, [1.5, 0.5, 1.0, 0.5], [0.05, 0.1], [10.0, 100.0])
     assert cli._units(1, grid) == [(0, range(i, i + 4)) for i in range(0, 16, 4)]
     assert cli._units(3, [BASE]) == [(fold, range(0, 1)) for fold in range(3)]
 
@@ -212,10 +214,10 @@ FAILING_WORKER = """
 import sys, time
 from schirn import cli
 
-def fit(ds, params, trace, prefix):
-    if params.variant.value == "high-rank":
+def fit_chain(ds, params_list):
+    if params_list[0].variant.value == "high-rank":
         time.sleep(DELAY)
-    raise ValueError(params.variant.value)
+    raise ValueError(params_list[0].variant.value)
 
 unit_reports = cli._unit_reports
 
@@ -224,7 +226,7 @@ def logged(job, unit):
         print(unit, file=fh)
     return unit_reports(job, unit)
 
-cli.fit, cli._unit_reports = fit, logged
+cli.fit_chain, cli._unit_reports = fit_chain, logged
 cli._cv_worker(sys.stdin.buffer, sys.stdout.buffer)
 """
 
@@ -290,8 +292,8 @@ class TestWorkerLifetime:
             cli._run_cvs(ds, params_list, 3, 0)
         assert sorted(log.read_text().split()) == ["0", "1"]
         serial = {"DELAY": 0.0, "LOG": os.devnull}
-        exec(FAILING_WORKER.partition("cli.fit, ")[0], serial)
-        monkeypatch.setattr(sys.modules[__name__], "fit", serial["fit"])
+        exec(FAILING_WORKER.partition("cli.fit_chain, ")[0], serial)
+        monkeypatch.setattr(sys.modules[__name__], "fit", lambda ds, params, trace: serial["fit_chain"](ds, [params]))
         with pytest.raises(ValueError, match="^high-rank$"):
             serial_run_cvs(ds, params_list, 3, 0)
 

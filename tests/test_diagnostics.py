@@ -45,10 +45,12 @@ def test_no_module_imports_scipy():
 @pytest.mark.parametrize("module", ["schirn", "schirn.cli"])
 def test_import_loads_no_subprocess(module):
     """subprocess and selectors serve only the CV runners, which import them when they
-    start and feed their workers; importing the package or the CLI must pay for neither."""
+    start and feed their workers, and numpy.random only the functions that draw; importing
+    the package or the CLI must pay for none of them."""
     code = (
         f"import sys, {module}\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'subprocess', 'selectors')))"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('scipy', 'subprocess', 'selectors') or m == 'numpy.random'))"
     )
     assert run_fresh(code) == "[]"
 
@@ -56,7 +58,7 @@ def test_import_loads_no_subprocess(module):
 def test_ablate_loads_no_numpy_ma(tmp_path):
     """numpy.ma costs about 12 ms to import, and np.unique imports it: neither
     an ablate run nor the CV worker interpreter that runs its fits and scoring
-    may load it."""
+    may load it. The worker, which draws nothing, loads no numpy.random either."""
     from schirn import cli, kfold_split
     from schirn.data import save_matrix
 
@@ -77,14 +79,14 @@ def test_ablate_loads_no_numpy_ma(tmp_path):
     # modules on stderr
     job = cli._CvJob(ds, kfold_split(ds.n, 3, seed=1), cli._ablate_fits(SchirnParams()))
     units = range(len(job.units))
-    probe = cli._WORKER + "; print('numpy.ma' in sys.modules, file=sys.stderr)"
+    probe = cli._WORKER + "; print('numpy.ma' in sys.modules, 'numpy.random' in sys.modules, file=sys.stderr)"
     feed = b"".join(pickle.dumps(message) for message in (job, *units))
     out = subprocess.run([sys.executable, "-c", probe], input=feed,
                          env=cli._worker_env(), capture_output=True, check=True, timeout=120)
     answers = io.BytesIO(out.stdout)
     assert [pickle.load(answers)[1] for _ in units] == [None] * 9
     assert answers.read() == b""
-    assert out.stderr.decode().strip() == "False"
+    assert out.stderr.decode().strip() == "False False"
 
 
 class TestVerifyRankTheorem:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -791,88 +793,90 @@ _CHAIN_PARAMS = st.builds(
     alpha=st.sampled_from([0.3, 0.5, 1.0, 100.0]),
     beta=st.sampled_from([0.05, 0.5]),
     lam=st.sampled_from([10.0, 9.0]),
+    # the relative residual falls through 5 before noise enters N, and through 1.5 about when it does
+    tol=st.sampled_from([0.0, 1.5, 5.0]),
     threshold=st.sampled_from([0.5, 0.7]),
     variant=st.sampled_from(list(Variant)),
     max_iter=st.just(60),
 )
+_ROUTES = pytest.mark.parametrize("shape", [(60, 8, 6), (30, 40, 6), (20, 6, 30)], ids=["primal", "dual-w", "wide-c"])
+
+
+def count_w_steps(mp) -> list:
+    """Makes ``mp`` (a MonkeyPatch) log each update_w call; returns the log."""
+    calls = []
+    update_w = solver.update_w
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return update_w(*args, **kwargs)
+
+    mp.setattr(solver, "update_w", counted)
+    return calls
+
+
+@pytest.fixture
+def w_steps(monkeypatch):
+    return count_w_steps(monkeypatch)
+
+
+def skipped_w_steps(chain_models) -> int:
+    """The W steps a chain skips, from its from-scratch models: each follower starts from its
+    predecessor's state before the first iteration with noise, or from its final state if
+    there is none."""
+    return sum(m.report.first_noise_iter - 1 if m.report.first_noise_iter else m.report.iterations_run
+               for m in chain_models[:-1])
 
 
 class TestSharedPrefix:
-    """A fit resumed from another fit's zero-noise prefix equals the same fit from scratch."""
+    """fit_chain: each fit resumes from the zero-noise prefix of the one before, and equals the
+    same fit from scratch."""
 
+    @_ROUTES
     @settings(max_examples=40, deadline=None)
     @given(params_list=st.lists(_CHAIN_PARAMS, max_size=6))
-    def test_prefix_chains_split_where_one_prefix_starts_over(self, params_list):
-        # noise enters N after iteration 40 at alpha = 0.5, and never at alpha = 100
-        ds, _ = make_synth(60, 8, 6, r=1, seed=0)
+    def test_chain_equals_fits_from_scratch(self, shape, params_list):
+        ds, _ = make_synth(*shape, r=1, seed=0)
         chains = solver.prefix_chains(params_list)
         assert all(chains) and [i for chain in chains for i in chain] == list(range(len(params_list)))
-        calls = []
-        update_w = solver.update_w
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return update_w(*args, **kwargs)
-
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "update_w", counted)
-            prefix = solver.Prefix()
-            whole = [fit(ds, params, trace="none", prefix=prefix) for params in params_list]
-            steps = len(calls)
-            split, resumed = [], []
-            for chain in chains:
-                prefix = solver.Prefix()
-                for i in chain:
-                    calls.clear()
-                    split.append(fit(ds, params_list[i], trace="none", prefix=prefix))
-                    resumed.append(len(calls) < 60)
-                    steps -= len(calls)
-        for a, b in zip(whole, split, strict=True):
+            steps = count_w_steps(mp)
+            direct = [fit(ds, params, trace="none") for params in params_list]
+            scratch_steps = len(steps)
+            steps.clear()
+            chained = solver.fit_chain(ds, params_list)
+        for a, b in zip(chained, direct, strict=True):
             assert_same_fit(a, b)
-        assert steps == 0
-        # N is zero after the first iteration, so a fit that resumes skips at least one step
-        assert resumed == [i != chain.start for chain in chains for i in chain]
+        assert scratch_steps == sum(m.report.iterations_run for m in direct)
+        assert len(steps) == scratch_steps - sum(skipped_w_steps(direct[c.start:c.stop]) for c in chains)
 
-    @pytest.fixture
-    def w_steps(self, monkeypatch):
-        calls = []
-        update_w = solver.update_w
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return update_w(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "update_w", counted)
-        return calls
-
-    @pytest.mark.parametrize("trace", ["none", "residual"])
     @pytest.mark.parametrize("tol", [0.5, 0.2, 0.05, 1e-3])
-    def test_no_sparsity_after_a_lead_without_noise(self, tol, trace):
+    def test_no_sparsity_after_a_lead_without_noise(self, tol):
         # high-rank at alpha=100 never has noise; at tol >= 0.05 it stops on tol,
         # and resuming the loop from that stop would run one iteration too many
         ds, _ = make_synth(60, 8, 6, r=1, seed=0)
-        prefix = solver.Prefix()
-        lead = fit(ds, default_params(alpha=100.0, tol=tol), trace=trace, prefix=prefix)
-        assert lead.report.first_noise_iter is None
-        params = default_params(alpha=100.0, tol=tol, variant=Variant.NO_SPARSITY)
-        assert_same_fit(fit(ds, params, trace=trace, prefix=prefix), fit(ds, params, trace=trace))
+        lead = default_params(alpha=100.0, tol=tol)
+        params_list = [lead, replace(lead, variant=Variant.NO_SPARSITY)]
+        models = solver.fit_chain(ds, params_list)
+        assert models[0].report.first_noise_iter is None
+        for model, params in zip(models, params_list, strict=True):
+            assert_same_fit(model, fit(ds, params, trace="none"))
 
-    @pytest.mark.parametrize("trace", ["none", "residual"])
-    @pytest.mark.parametrize("shape", [(60, 8, 6), (30, 40, 6), (20, 6, 30)], ids=["primal", "dual-w", "wide-c"])
-    def test_followers_branch_mid_run(self, shape, trace):
+    @_ROUTES
+    def test_followers_branch_mid_run(self, shape):
         ds, _ = make_synth(*shape, r=1, seed=0)
-        prefix = solver.Prefix()
-        lead = fit(ds, default_params(alpha=0.5), trace=trace, prefix=prefix)
-        assert 1 < lead.report.first_noise_iter < 100
-        for params in (default_params(alpha=1.0), default_params(alpha=1.0, variant=Variant.NO_SPARSITY)):
-            assert_same_fit(fit(ds, params, trace=trace, prefix=prefix), fit(ds, params, trace=trace))
+        params_list = [default_params(alpha=0.5), default_params(alpha=1.0),
+                       default_params(alpha=1.0, variant=Variant.NO_SPARSITY)]
+        models = solver.fit_chain(ds, params_list)
+        assert 1 < models[0].report.first_noise_iter < 100
+        for model, params in zip(models, params_list, strict=True):
+            assert_same_fit(model, fit(ds, params, trace="none"))
 
     def test_follower_skips_the_shared_iterations(self, w_steps):
         ds, _ = make_synth(60, 8, 6, r=1, seed=0)
-        prefix = solver.Prefix()
-        first = fit(ds, default_params(alpha=0.5), trace="none", prefix=prefix).report.first_noise_iter
-        second = fit(ds, default_params(alpha=1.0), trace="none", prefix=prefix).report.first_noise_iter
-        fit(ds, default_params(alpha=1.0, variant=Variant.NO_SPARSITY), trace="none", prefix=prefix)
+        first, second, _ = solver.fit_chain(ds, [default_params(alpha=0.5), default_params(alpha=1.0),
+                                                 default_params(alpha=1.0, variant=Variant.NO_SPARSITY)])
+        first, second = first.report.first_noise_iter, second.report.first_noise_iter
         assert len(w_steps) == 100 + (100 - (first - 1)) + (100 - (second - 1))
 
     @pytest.mark.parametrize("change", [
@@ -882,55 +886,42 @@ class TestSharedPrefix:
     ], ids=repr)
     def test_starts_over_when_the_prefix_may_differ(self, change, w_steps):
         ds, _ = make_synth(60, 8, 6, r=1, seed=0)
-        prefix = solver.Prefix()
-        fit(ds, default_params(alpha=0.5), trace="none", prefix=prefix)
-        params = default_params(**{"alpha": 1.0, **change})
-        w_steps.clear()
-        assert_same_fit(fit(ds, params, trace="none", prefix=prefix), fit(ds, params, trace="none"))
-        assert len(w_steps) == 2 * params.max_iter
+        params_list = [default_params(alpha=0.5), default_params(**{"alpha": 1.0, **change})]
+        assert solver.prefix_chains(params_list) == [range(0, 1), range(1, 2)]
+        models = solver.fit_chain(ds, params_list)
+        assert len(w_steps) == 100 + params_list[1].max_iter
+        assert_same_fit(models[1], fit(ds, params_list[1], trace="none"))
 
-    def test_starts_over_on_other_data_trace_level_or_alpha_order(self, w_steps):
+    def test_starts_over_on_alpha_order(self, w_steps):
         ds, _ = make_synth(60, 8, 6, r=1, seed=0)
-        copy = Dataset(X=ds.X.copy(), Y=ds.Y.copy())
-        prefix = solver.Prefix()
-        steps = []
-        for data, params, trace in [
-            (ds, default_params(alpha=0.5), "none"),
-            (copy, default_params(alpha=1.0), "none"),  # equal arrays, but not the same ones
-            (copy, default_params(alpha=1.5), "residual"),
-            (copy, default_params(variant=Variant.NO_SPARSITY), "residual"),  # resumes
-            (copy, default_params(alpha=2.0), "residual"),  # no-sparsity counts as alpha = infinity
-        ]:
-            w_steps.clear()
-            assert_same_fit(fit(data, params, trace=trace, prefix=prefix), fit(data, params, trace=trace))
-            steps.append(len(w_steps) - params.max_iter)
-        assert steps[:3] == [100, 100, 100] and steps[3] < 100 and steps[4] == 100
+        params_list = [
+            default_params(alpha=0.5),
+            default_params(variant=Variant.NO_SPARSITY),  # resumes
+            default_params(alpha=2.0),  # no-sparsity counts as alpha = infinity
+            default_params(alpha=1.0),
+        ]
+        assert solver.prefix_chains(params_list) == [range(0, 2), range(2, 3), range(3, 4)]
+        models = solver.fit_chain(ds, params_list)
+        assert len(w_steps) == 4 * 100 - (models[0].report.first_noise_iter - 1)
+        for model, params in zip(models, params_list, strict=True):
+            assert_same_fit(model, fit(ds, params, trace="none"))
 
-    def test_branch_state_survives_its_followers(self):
-        # a follower that wrote into the branch's arrays (X^T N, say) would spoil the second
+    @pytest.mark.parametrize("alphas", [[100.0, 100.0, 100.0], [0.5, 1.0, 1.0]], ids=["finished", "mid-run"])
+    def test_models_share_no_memory(self, alphas):
+        # a lead without noise hands its final state on; one with noise its state before it
         ds, _ = make_synth(60, 8, 6, r=1, seed=0)
-        prefix = solver.Prefix()
-        fit(ds, default_params(alpha=0.5), prefix=prefix)
-        branch = prefix.branch
-        direct = fit(ds, default_params(alpha=1.0))
-        for _ in range(2):
-            prefix.branch = branch
-            assert_same_fit(fit(ds, default_params(alpha=1.0), prefix=prefix), direct)
+        params_list = [default_params(alpha=alphas[0]), default_params(alpha=alphas[1]),
+                       default_params(alpha=alphas[2], variant=Variant.NO_SPARSITY)]
+        arrays = [a for m in solver.fit_chain(ds, params_list) for a in (m.W, m.noise)]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
 
-    def test_models_do_not_share_the_branch_arrays(self):
-        # a lead without noise hands out its final state; writing into a model must not reach it
-        ds, _ = make_synth(60, 8, 6, r=1, seed=0)
-        prefix = solver.Prefix()
-        lead = fit(ds, default_params(alpha=100.0), prefix=prefix)
-        branch = prefix.branch
-        assert branch.finished
-        params = default_params(alpha=100.0, variant=Variant.NO_SPARSITY)
-        direct = fit(ds, params)
-        for model in (lead, fit(ds, params, prefix=prefix)):
-            model.W[:] = 0.0
-            model.noise[:] = 1.0
-            prefix.branch = branch
-            assert_same_fit(fit(ds, params, prefix=prefix), direct)
+    def test_checks_the_data_once_and_takes_no_fits(self):
+        ds, _ = make_synth(10, 3, 2, r=0, seed=6)
+        assert solver.fit_chain(ds, []) == []
+        with pytest.raises(ValueError, match="X has 10 rows but Y has 9"):
+            solver.fit_chain(Dataset(X=ds.X, Y=ds.Y[:9]), [])
 
 
 class TestPredict:
