@@ -5,12 +5,8 @@ theorem-check. Every option can also be supplied through a flat key=value
 config file (``--config``); explicit command-line flags win over the file,
 which wins over built-in defaults. All randomness flows from the single
 ``seed`` option (noise injection consumes ``seed``, fold splitting
-``seed + 1``), so identical inputs produce byte-identical outputs.
-
-The fits of cv, grid and ablate run in worker processes with BLAS on one
-thread, one per usable CPU but never more than there are units of work (one
-prefix chain of one fold each). They start before the data is read, and
-each takes the next unit as it frees up; the outputs depend on none of this.
+``seed + 1``), so identical inputs produce byte-identical outputs. cv,
+grid and ablate run through ``schirn.cv``, which fits in worker processes.
 
 Exit codes: 0 success, 1 numerical failure (or a CV worker that ended
 without a result), 2 input/config error.
@@ -19,34 +15,21 @@ without a result), 2 input/config error.
 import argparse
 import csv
 import json
-import os
-import pickle
 import sys
-from contextlib import suppress
-from dataclasses import dataclass, fields, replace
-from functools import cached_property
-from itertools import product
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
-from .data import (Dataset, FoldSplit, MatrixFormatError, NoiseSpec, describe, drop_empty_truth, inject_noise,
-                   kfold_split, load_dataset, load_matrix, save_matrix, standardize)
+from .cv import (METRIC_FIELDS, _ablate_fits, _ablate_rows, _grid_fits, _grid_rows, _run_cvs, _units, _worker_count,
+                 _Workers)
+from .data import (Dataset, MatrixFormatError, NoiseSpec, describe, drop_empty_truth, inject_noise, load_dataset,
+                   load_matrix, save_matrix, standardize)
 from .diagnostics import rank_report, verify_rank_theorem
 from .linalg import NumericalError
 from .metrics import evaluate_all
-from .solver import (SchirnParams, Variant, binarize, fit, fit_chain, load_model, predict_scores, prefix_chains,
-                     save_model)
+from .solver import SchirnParams, binarize, fit, load_model, predict_scores, save_model
 
-__all__ = ["main", "run_ablate", "run_cv", "run_grid"]
+__all__ = ["main"]
 
-# hyperparameter search ranges used when grid lists are not given:
-# alpha 0.1..2.0 step 0.1, beta 0.01..0.10 step 0.01, lambda a fixed quintet
-DEFAULT_GRID_ALPHA = [i / 10 for i in range(1, 21)]
-DEFAULT_GRID_BETA = [i / 100 for i in range(1, 11)]
-DEFAULT_GRID_LAMBDA = [0.1, 10.0, 100.0, 250.0, 1000.0]
-
-METRIC_FIELDS = ("average_precision", "ranking_loss", "coverage", "hamming_loss", "one_error")
 METRIC_COLUMNS = ("average_precision", "ranking_loss", "coverage_over_l", "hamming_loss", "one_error")
 
 
@@ -171,279 +154,6 @@ def _load_experiment_dataset(v: dict) -> Dataset:
     Y = inject_noise(ds.Y_true, NoiseSpec(r=v["r"], seed=v["seed"]))
     X = standardize(ds.X) if v["standardize"] else ds.X
     return Dataset(X=X, Y=Y, Y_true=ds.Y_true)
-
-
-# ---------------------------------------------------------------------------
-# cross-validation / grid / ablation runners
-
-
-@dataclass
-class CvOutcome:
-    fold_reports: list
-    mean: dict
-    std: dict
-    eval_target: str
-
-
-def run_cv(ds: Dataset, params: SchirnParams, k_folds: int, seed: int) -> CvOutcome:
-    """k-fold cross-validation: fit on train, score and evaluate on test, for each fold.
-
-    Evaluation uses the ground-truth matrix when present, otherwise the
-    candidate matrix; the outcome records which. The fits skip their
-    traces (trace="none"), which nothing here reads.
-    """
-    return _run_cvs(ds, [params], k_folds, seed)[0]
-
-
-def _run_cvs(ds: Dataset, params_list, k_folds: int, seed: int, workers=None) -> list[CvOutcome]:
-    """run_cv for each params on the same folds. The unit of work is one prefix chain
-    (solver.prefix_chains) of one fold, run in a worker process by solver.fit_chain, so
-    list ascending alphas together. ``workers`` are _Workers started for this call
-    (started here when None); they serve no other, and are closed on return."""
-    job = _CvJob(ds, kfold_split(ds.n, k_folds, seed=seed + 1), list(params_list))
-    with workers or _Workers(_worker_count(len(job.units))) as workers:
-        results = workers.run(job)
-    by_params = [[None] * k_folds for _ in job.params_list]
-    for (fold, chain), reports in zip(job.units, results):
-        for i, report in zip(chain, reports):
-            by_params[i][fold] = report
-    eval_target = "truth" if ds.Y_true is not None else "candidates"
-    return [_cv_outcome(reports, eval_target) for reports in by_params]
-
-
-@dataclass(frozen=True)
-class _CvJob:
-    """What every unit of a _run_cvs call reads: the data, its folds and the fits to run."""
-
-    ds: Dataset
-    split: FoldSplit
-    params_list: list
-
-    @cached_property
-    def units(self) -> list[tuple[int, range]]:
-        """(fold, chain) of each unit, fold by fold, each fold's chains in list order."""
-        return _units(self.split.k, self.params_list)
-
-
-def _units(k_folds: int, params_list) -> list[tuple[int, range]]:
-    chains = prefix_chains(params_list)
-    return [(fold, chain) for fold in range(k_folds) for chain in chains]
-
-
-def _unit_reports(job: _CvJob, unit: int) -> list:
-    """One unit of _run_cvs: the test-fold MetricReport of each fit of its chain, in list order."""
-    fold, chain = job.units[unit]
-    ds, split = job.ds, job.split
-    target = ds.Y_true if ds.Y_true is not None else ds.Y
-    tr = split.train_indices(fold)
-    te = split.test_indices(fold)
-    train, X_test, T_test = Dataset(X=ds.X[tr], Y=ds.Y[tr]), ds.X[te], target[te]
-    reports = []
-    for model in fit_chain(train, job.params_list[chain.start:chain.stop]):
-        scores = predict_scores(model, X_test)
-        reports.append(evaluate_all(scores, binarize(scores, model.params.threshold), T_test))
-    return reports
-
-
-# a worker interpreter of _Workers; `-c` keeps the worker's entry point out of the CLI's options
-_WORKER = "import sys; from schirn.cli import _cv_worker; _cv_worker(sys.stdin.buffer, sys.stdout.buffer)"
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _worker_env() -> dict:
-    """The caller's environment (a copy), with BLAS on one thread and this package's source first
-    on PYTHONPATH, so a worker imports the same schirn as its parent."""
-    env = dict(os.environ)
-    env.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-    src = str(Path(__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
-
-
-def _worker_count(units: int) -> int:
-    """One worker per usable CPU, and never more than there are units."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(units, cpus)
-
-
-class _Workers:
-    """Worker interpreters for the units of one _run_cvs call; they start when this is made.
-
-    Each is a fresh ``sys.executable`` with BLAS on one thread: w workers then use w cores, and
-    the reports do not depend on the caller's BLAS setting. (A forked worker would inherit a
-    multi-threaded BLAS; threads serialize on the interpreter lock.) Their start-up overlaps
-    whatever the caller does before run (cmd_experiment reads the data). Leaving the context,
-    or close, kills every worker still running, waits for it and closes its pipes.
-    """
-
-    def __init__(self, count: int):
-        import subprocess  # here, not at module level, so that `import schirn.cli` stays cheap
-
-        env = _worker_env()
-        self.procs = []
-        try:
-            for _ in range(count):
-                self.procs.append(subprocess.Popen([sys.executable, "-c", _WORKER], env=env,
-                                                   stdin=subprocess.PIPE, stdout=subprocess.PIPE))
-        except BaseException:
-            self.close()
-            raise
-
-    def __enter__(self) -> "_Workers":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self) -> None:
-        for proc in self.procs:
-            proc.kill()  # a no-op for a worker already waited for
-            proc.wait()
-            proc.stdout.close()
-            with suppress(BrokenPipeError):  # unsent input of a killed worker
-                proc.stdin.close()
-
-    def run(self, job: _CvJob) -> list:
-        """_unit_reports of every unit of the job, in unit order; the parent fits nothing.
-
-        Each worker gets the job once, then one unit index at a time: the next unit goes to
-        whichever worker answers first. An exception raised in a unit reaches the caller as
-        itself; of several, the lowest unit's, as a serial loop would raise it. Once a unit has
-        failed no further unit is sent, but those already sent finish, since a lower one may
-        fail too. A worker that ends without a result raises ChildProcessError with its exit
-        status.
-        """
-        import selectors
-
-        todo = iter(range(len(job.units)))
-        results = [None] * len(job.units)
-        errors = {}  # unit -> exception
-        busy = {}  # worker -> its unit
-
-        def send(proc, *messages) -> None:
-            unit = None if errors else next(todo, None)
-            if unit is None:
-                return
-            busy[proc] = unit
-            try:
-                for message in (*messages, pickle.dumps(unit)):
-                    proc.stdin.write(message)
-                proc.stdin.flush()
-            except BrokenPipeError:
-                raise _ended(proc) from None
-
-        job_message = pickle.dumps(job, pickle.HIGHEST_PROTOCOL)
-        with selectors.DefaultSelector() as ready:
-            for proc in self.procs:
-                send(proc, job_message)
-                if proc in busy:
-                    ready.register(proc.stdout, selectors.EVENT_READ, proc)
-            while busy:
-                for key, _ in ready.select():
-                    proc = key.data
-                    try:
-                        reports, error = pickle.load(proc.stdout)
-                    except (EOFError, pickle.UnpicklingError):
-                        raise _ended(proc) from None
-                    unit = busy.pop(proc)
-                    if error is None:
-                        results[unit] = reports
-                    else:
-                        errors[unit] = error
-                    send(proc)
-        if errors:
-            raise errors[min(errors)]
-        return results
-
-
-def _ended(proc) -> ChildProcessError:
-    return ChildProcessError(f"a CV worker exited with status {proc.wait()} without a result")
-
-
-def _cv_worker(stdin, stdout) -> None:
-    """Body of a _Workers worker: reads the job, then unit indices until its input ends, and
-    answers each unit with (its reports, None), or (None, the exception that stopped it).
-
-    Ctrl-C is left to the parent, which kills its workers.
-    """
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    try:
-        job = pickle.load(stdin)
-        while True:
-            unit = pickle.load(stdin)
-            try:
-                answer = _unit_reports(job, unit), None
-            except Exception as exc:  # sent to the parent, which raises it
-                answer = None, exc
-            pickle.dump(answer, stdout, pickle.HIGHEST_PROTOCOL)
-            stdout.flush()
-    except EOFError:  # no more units
-        return
-
-
-def _cv_outcome(reports, eval_target: str) -> CvOutcome:
-    mean = {}
-    std = {}
-    for name in METRIC_FIELDS:
-        values = np.array([getattr(rep, name) for rep in reports])
-        mean[name] = float(values.mean())
-        std[name] = float(values.std(ddof=1)) if len(values) > 1 else 0.0
-    return CvOutcome(fold_reports=reports, mean=mean, std=std, eval_target=eval_target)
-
-
-def run_grid(ds: Dataset, params: SchirnParams, k_folds: int, seed: int, alphas, betas, lambdas) -> list[dict]:
-    """Evaluate the full Cartesian product of the grids by CV mean average precision.
-
-    A grid list given as None is its default search range. The rows are
-    those of one run_cv per cell.
-    """
-    fits = _grid_fits(params, alphas, betas, lambdas)
-    return _grid_rows(fits, _run_cvs(ds, fits, k_folds, seed))
-
-
-def _grid_fits(params: SchirnParams, alphas, betas, lambdas) -> list:
-    """The grid's cells as params, in the order they run: each (beta, lambda)'s cells in
-    ascending alpha, so that each resumes from the zero-noise prefix of the one before."""
-    alphas = DEFAULT_GRID_ALPHA if alphas is None else alphas
-    betas = DEFAULT_GRID_BETA if betas is None else betas
-    lambdas = DEFAULT_GRID_LAMBDA if lambdas is None else lambdas
-    for name, lst in (("alpha", alphas), ("beta", betas), ("lambda", lambdas)):
-        if not lst:
-            raise ValueError(f"grid list for {name} is empty")
-    cells = sorted(product(alphas, betas, lambdas), key=lambda cell: (cell[1], cell[2], cell[0]))
-    return [replace(params, alpha=a, beta=b, lam=lam) for a, b, lam in cells]
-
-
-def _grid_rows(fits, outcomes) -> list[dict]:
-    """run_grid's rows from the CV outcome of each fit, best first."""
-    rows = [{"alpha": p.alpha, "beta": p.beta, "lambda": p.lam, "mean": o.mean, "std": o.std}
-            for p, o in zip(fits, outcomes)]
-    rows.sort(key=lambda r: (-r["mean"]["average_precision"], r["alpha"], r["beta"], r["lambda"]))
-    for i, row in enumerate(rows):
-        row["best"] = i == 0
-    return rows
-
-
-ABLATION_ORDER = (Variant.HIGH_RANK, Variant.NO_RANK, Variant.NO_SPARSITY, Variant.LOW_RANK)
-# no-sparsity right after high-rank resumes from its zero-noise prefix
-_ABLATION_RUN_ORDER = (Variant.HIGH_RANK, Variant.NO_SPARSITY, Variant.NO_RANK, Variant.LOW_RANK)
-
-
-def _ablate_fits(params: SchirnParams) -> list:
-    return [replace(params, variant=v) for v in _ABLATION_RUN_ORDER]
-
-
-def run_ablate(ds: Dataset, params: SchirnParams, k_folds: int, seed: int) -> list[dict]:
-    """Four CV runs differing only in the variant, same seed and folds."""
-    return _ablate_rows(_run_cvs(ds, _ablate_fits(params), k_folds, seed))
-
-
-def _ablate_rows(outcomes) -> list[dict]:
-    """run_ablate's rows, in ABLATION_ORDER, from the CV outcomes of _ablate_fits."""
-    by_variant = dict(zip(_ABLATION_RUN_ORDER, outcomes))
-    return [{"variant": v.value, "mean": by_variant[v].mean, "std": by_variant[v].std} for v in ABLATION_ORDER]
 
 
 # ---------------------------------------------------------------------------
@@ -673,8 +383,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    # run the imported module, not this __main__ copy, so that what is pickled for the CV workers
-    # names schirn.cli
-    from schirn.cli import main as _main
-
-    sys.exit(_main())
+    sys.exit(main())

@@ -6,7 +6,7 @@ rank(Y - N) >= rank(Y) - rank(N) >= min(n, l) - rank(N). A reported
 violation indicates a numerical-rank tolerance bug, not a counterexample.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,12 +35,7 @@ class RankReport:
     rank_truth: int | None
 
     def as_dict(self) -> dict:
-        return {
-            "rank_prediction_scores": self.rank_prediction_scores,
-            "rank_prediction_labels": self.rank_prediction_labels,
-            "rank_observed": self.rank_observed,
-            "rank_truth": self.rank_truth,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -54,13 +49,7 @@ class TheoremCheckResult:
     epsilon_clipped: bool
 
     def as_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "violations": self.violations,
-            "min_observed_margin": self.min_observed_margin,
-            "epsilon_requested": self.epsilon_requested,
-            "epsilon_clipped": self.epsilon_clipped,
-        }
+        return asdict(self)
 
 
 def rank_report(model: Model, ds) -> RankReport:

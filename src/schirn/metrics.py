@@ -17,7 +17,7 @@ Conventions, fixed across the package and stated in every output header:
 rank order per scorable row; the public functions read its result.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,16 +51,7 @@ class MetricReport:
         return self.rows_scored == 0
 
     def as_dict(self) -> dict:
-        return {
-            "average_precision": self.average_precision,
-            "ranking_loss": self.ranking_loss,
-            "coverage": self.coverage,
-            "hamming_loss": self.hamming_loss,
-            "one_error": self.one_error,
-            "rows_scored": self.rows_scored,
-            "rows_total": self.rows_total,
-            "no_scorable_rows": self.no_scorable_rows,
-        }
+        return {**asdict(self), "no_scorable_rows": self.no_scorable_rows}
 
 
 def _check_pair(scores, truth):

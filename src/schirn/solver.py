@@ -88,7 +88,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _EPS, EigResult, _eigh, as_matrix, numerical_rank, sym_eig
+from .linalg import _EPS, EigResult, NumericalError, _eigh, as_matrix, numerical_rank, sym_eig
 
 __all__ = [
     "Variant",
@@ -580,7 +580,12 @@ def _fit(X, Y, params: SchirnParams, traced: bool, lead: _Branch | None = None,
     dual = d > n  # factor the smaller Gram matrix
     if lead is None:
         state = _initial_state(n, d, l, params)
-        eig = sym_eig(_sym_gram(X, dual))
+        with np.errstate(over="ignore", invalid="ignore"):  # finite features can overflow their Gram
+            gram = _sym_gram(X, dual)
+        # symmetric by construction, so one finiteness check stands in for sym_eig's scans
+        if not np.isfinite(gram).all():
+            raise NumericalError("the Gram matrix of X overflows")
+        eig = _eigh(gram)
         Xt = XtProducts.start(X, Y, state) if not dual and l <= n else None
         XW = np.zeros((n, l))  # X @ W for W = 0, the final rank when max_iter = 0
     else:

@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from schirn import SchirnParams, Variant, fit
-from schirn.cli import (
+from schirn.cli import main, parse_config_file
+from schirn.cv import (
     ABLATION_ORDER,
     DEFAULT_GRID_ALPHA,
     DEFAULT_GRID_BETA,
     DEFAULT_GRID_LAMBDA,
-    main,
-    parse_config_file,
     run_ablate,
     run_cv,
     run_grid,
@@ -124,6 +123,19 @@ class TestFit:
                    "--out", str(tmp_path / "m")])
         assert rc == 1
         assert "synthetic failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("d", [8, 80], ids=["primal", "dual"])  # X^T X, X X^T
+    def test_gram_overflow_exits_1(self, tmp_path, capsys, d):
+        # finite features near 1e160, whose Gram matrix overflows: a numerical failure, with no
+        # RuntimeWarning (which pytest raises as an error)
+        ds, _ = make_synth(60, d, 6, r=1, seed=0)
+        save_matrix(tmp_path / "x.txt", ds.X * 1e160)
+        save_matrix(tmp_path / "y.txt", ds.Y, binary=True)
+        rc = main(["fit", "--features", str(tmp_path / "x.txt"), "--labels", str(tmp_path / "y.txt"),
+                   "--out", str(tmp_path / "m")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: the Gram matrix of X overflows\n"
+        assert not (tmp_path / "m").exists()
 
     @pytest.mark.parametrize("flag,value", [("--alpha", "nan"), ("--lambda", "inf"), ("--beta", "nan"),
                                             ("--threshold", "nan"), ("--threshold", "inf")])
@@ -265,7 +277,6 @@ class TestCv:
         assert payload["noise_r"] == 2
 
     def test_high_rank_beats_no_sparsity_under_noise(self):
-        from schirn.cli import run_cv
         from schirn.solver import SchirnParams, Variant
 
         ds, _ = make_synth(200, 30, 12, r=1, seed=2, noise_scale=1.0)
@@ -278,7 +289,7 @@ class TestCv:
     def test_untraced_fits_give_the_same_outcome(self, variant, monkeypatch):
         # the CV fold body fits with trace="none"; forcing the default level changes nothing.
         # It runs in worker processes, which never see a monkeypatch, so call it here.
-        from schirn import cli, kfold_split
+        from schirn import cv, kfold_split
 
         ds, _ = make_synth(60, 8, 6, r=1, seed=0)
         params = SchirnParams(alpha=0.5, beta=0.5, variant=variant)
@@ -288,10 +299,10 @@ class TestCv:
             chains.append(params_list)
             return [fit(ds_, params_) for params_ in params_list]
 
-        untraced = cli.run_cv(ds, params, k_folds=3, seed=0)
-        monkeypatch.setattr(cli, "fit_chain", traced_fit_chain)
-        job = cli._CvJob(ds, kfold_split(ds.n, 3, seed=1), [params])
-        traced = [cli._unit_reports(job, unit)[0] for unit in range(3)]  # one unit per fold
+        untraced = cv.run_cv(ds, params, k_folds=3, seed=0)
+        monkeypatch.setattr(cv, "fit_chain", traced_fit_chain)
+        job = cv._CvJob(ds, kfold_split(ds.n, 3, seed=1), [params])
+        traced = [cv._unit_reports(job, unit)[0] for unit in range(3)]  # one unit per fold
         assert chains == [[params]] * 3
         assert traced == untraced.fold_reports
 
@@ -452,7 +463,7 @@ class TestPrefixSharingMatchesSerialRunners:
         assert run_grid(*args) == serial_grid(*args)
 
     def test_outcomes_equal_one_run_cv_each(self):
-        from schirn.cli import _run_cvs
+        from schirn.cv import _run_cvs
 
         ds, _ = make_synth(60, 8, 6, r=1, seed=0)
         base = SchirnParams(alpha=0.5)
@@ -700,7 +711,6 @@ class TestMissingOptions:
         assert "features file is required" in capsys.readouterr().err
 
     def test_run_grid_rejects_empty_programmatic_list(self, synth_files):
-        from schirn.cli import run_grid
         from schirn.solver import SchirnParams
         paths, ds = synth_files
         params = SchirnParams(alpha=1.0, beta=0.05, lam=10.0)

@@ -1,4 +1,4 @@
-"""The CV runners fit their prefix chains, fold by fold, in worker processes (cli._Workers).
+"""The CV runners fit their prefix chains, fold by fold, in worker processes (cv._Workers).
 
 The oracle is a single-process runner that fits every cell from scratch:
 every outcome and every output file must equal its. The process tests read
@@ -19,16 +19,18 @@ from pathlib import Path
 import pytest
 
 from schirn import Dataset, SchirnParams, Variant, kfold_split
-from schirn import cli
-from schirn.cli import main, run_ablate, run_cv, run_grid
+from schirn import cli, cv
+from schirn.cli import main
+from schirn.cv import run_ablate, run_cv, run_grid
 from schirn.data import save_matrix
+from schirn.linalg import NumericalError
 from schirn.metrics import evaluate_all
 from schirn.solver import binarize, fit, predict_scores
 from synthdata import make_synth
 
 
 def serial_run_cvs(ds, params_list, k_folds, seed, workers=None):
-    """cli._run_cvs in this process, each fit from scratch; ``workers`` (as cmd_experiment
+    """cv._run_cvs in this process, each fit from scratch; ``workers`` (as cmd_experiment
     passes them) are closed unused."""
     if workers is not None:
         workers.close()
@@ -44,7 +46,7 @@ def serial_run_cvs(ds, params_list, k_folds, seed, workers=None):
             model = fit(train, params, trace="none")
             scores = predict_scores(model, X_test)
             fold_reports.append(evaluate_all(scores, binarize(scores, params.threshold), T_test))
-    return [cli._cv_outcome(fold_reports, eval_target) for fold_reports in reports]
+    return [cv._cv_outcome(fold_reports, eval_target) for fold_reports in reports]
 
 
 BASE = SchirnParams(alpha=0.5, max_iter=60)
@@ -69,11 +71,11 @@ class TestWorkersMatchTheSerialRunner:
     def test_each_variant(self, variant):
         ds, _ = make_synth(60, 8, 6, r=1, seed=0)
         chain = [replace(BASE, variant=variant), replace(BASE, alpha=1.5, variant=variant)]
-        assert cli._run_cvs(ds, chain, 5, 3) == serial_run_cvs(ds, chain, 5, 3)
+        assert cv._run_cvs(ds, chain, 5, 3) == serial_run_cvs(ds, chain, 5, 3)
 
     def test_mixed_grid_chain(self):
         ds, _ = make_synth(60, 8, 6, r=1, seed=0)
-        assert cli._run_cvs(ds, MIXED_CHAIN, 3, 1) == serial_run_cvs(ds, MIXED_CHAIN, 3, 1)
+        assert cv._run_cvs(ds, MIXED_CHAIN, 3, 1) == serial_run_cvs(ds, MIXED_CHAIN, 3, 1)
 
     @pytest.mark.parametrize("cpus", [1, 4])
     @pytest.mark.parametrize("k_folds", [2, 3, 5, 7])
@@ -81,19 +83,19 @@ class TestWorkersMatchTheSerialRunner:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         ds, _ = make_synth(70, 8, 6, r=1, seed=4)
         chain = MIXED_CHAIN[:3]
-        assert cli._run_cvs(ds, chain, k_folds, 0) == serial_run_cvs(ds, chain, k_folds, 0)
+        assert cv._run_cvs(ds, chain, k_folds, 0) == serial_run_cvs(ds, chain, k_folds, 0)
 
     @pytest.mark.parametrize("shape", [(60, 8, 6), (45, 60, 6), (30, 6, 30)], ids=["primal", "dual-w", "wide-c"])
     def test_each_solver_route(self, shape):
         # 3 folds train on 2/3 of the rows: d > n for dual-w, l > n for wide-c
         ds, _ = make_synth(*shape, r=1, seed=1)
-        chain = [replace(SchirnParams(), variant=v) for v in cli._ABLATION_RUN_ORDER]
-        assert cli._run_cvs(ds, chain, 3, 0) == serial_run_cvs(ds, chain, 3, 0)
+        chain = [replace(SchirnParams(), variant=v) for v in cv._ABLATION_RUN_ORDER]
+        assert cv._run_cvs(ds, chain, 3, 0) == serial_run_cvs(ds, chain, 3, 0)
 
     def test_candidate_target(self):
         ds, _ = make_synth(60, 8, 6, r=1, seed=2)
         ds = Dataset(X=ds.X, Y=ds.Y)
-        outcomes = cli._run_cvs(ds, [BASE], 4, 0)
+        outcomes = cv._run_cvs(ds, [BASE], 4, 0)
         assert outcomes == serial_run_cvs(ds, [BASE], 4, 0)
         assert outcomes[0].eval_target == "candidates"
 
@@ -115,10 +117,10 @@ def test_fold_body_in_process():
     """The workers run without pytest's warning filters, so run the unit body here
     too: a RuntimeWarning in it fails this test."""
     ds, _ = make_synth(60, 8, 6, r=1, seed=0)
-    job = cli._CvJob(ds, kfold_split(ds.n, 3, seed=1), MIXED_CHAIN)
+    job = cv._CvJob(ds, kfold_split(ds.n, 3, seed=1), MIXED_CHAIN)
     by_params = [[None] * 3 for _ in MIXED_CHAIN]
     for unit, (fold, chain) in enumerate(job.units):
-        for i, report in zip(chain, cli._unit_reports(job, unit), strict=True):
+        for i, report in zip(chain, cv._unit_reports(job, unit), strict=True):
             by_params[i][fold] = report
     outcomes = serial_run_cvs(ds, MIXED_CHAIN, 3, 0)
     assert by_params == [outcome.fold_reports for outcome in outcomes]
@@ -127,10 +129,10 @@ def test_fold_body_in_process():
 def test_units_are_the_prefix_chains_of_each_fold():
     # ablate: [high-rank, no-sparsity], [no-rank], [low-rank]; grid: one chain per (beta, lambda)
     ablate_chains = [range(0, 2), range(2, 3), range(3, 4)]
-    assert cli._units(2, cli._ablate_fits(BASE)) == [(fold, c) for fold in (0, 1) for c in ablate_chains]
-    grid = cli._grid_fits(BASE, [1.5, 0.5, 1.0, 0.5], [0.05, 0.1], [10.0, 100.0])
-    assert cli._units(1, grid) == [(0, range(i, i + 4)) for i in range(0, 16, 4)]
-    assert cli._units(3, [BASE]) == [(fold, range(0, 1)) for fold in range(3)]
+    assert cv._units(2, cv._ablate_fits(BASE)) == [(fold, c) for fold in (0, 1) for c in ablate_chains]
+    grid = cv._grid_fits(BASE, [1.5, 0.5, 1.0, 0.5], [0.05, 0.1], [10.0, 100.0])
+    assert cv._units(1, grid) == [(0, range(i, i + 4)) for i in range(0, 16, 4)]
+    assert cv._units(3, [BASE]) == [(fold, range(0, 1)) for fold in range(3)]
 
 
 def test_module_entry_point(tmp_path, synth_files):
@@ -138,7 +140,7 @@ def test_module_entry_point(tmp_path, synth_files):
     still unpickle there, and the files must equal those of main()."""
     args = ["ablate", *synth_files[1], "--folds", "3", "--max-iter", "30"]
     subprocess.run([sys.executable, "-m", "schirn.cli", *args, "--out", str(tmp_path / "module")],
-                   env=cli._worker_env(), check=True, timeout=120)
+                   env=cv._worker_env(), check=True, timeout=120)
     assert main(args + ["--out", str(tmp_path / "main")]) == 0
     for name in ("ablation.csv", "ablation.json"):
         assert (tmp_path / "module" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
@@ -148,12 +150,12 @@ def test_worker_env_pins_blas_and_leaves_os_environ_alone(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "8")
     monkeypatch.setenv("PYTHONPATH", "elsewhere")
     before = dict(os.environ)
-    env = cli._worker_env()
+    env = cv._worker_env()
     assert dict(os.environ) == before
     assert [env[var] for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")] == ["1"] * 3
-    src = str(Path(cli.__file__).resolve().parent.parent)
+    src = str(Path(cv.__file__).resolve().parent.parent)
     assert env["PYTHONPATH"] == os.pathsep.join([src, "elsewhere"])
-    set_here = (*cli._BLAS_THREAD_VARS, "PYTHONPATH")
+    set_here = (*cv._BLAS_THREAD_VARS, "PYTHONPATH")
     assert {k: v for k, v in env.items() if k not in set_here} == {k: v for k, v in before.items() if k not in set_here}
 
 
@@ -190,7 +192,7 @@ def started_workers(monkeypatch, record: list) -> None:
     """Appends to ``record`` the children started since this call that are alive when
     cmd_experiment reads the data and when each _Workers.run starts."""
     before = child_pids()
-    load, run = cli._load_experiment_dataset, cli._Workers.run
+    load, run = cli._load_experiment_dataset, cv._Workers.run
 
     def watched_load(v):
         record.append(child_pids() - before)
@@ -201,7 +203,7 @@ def started_workers(monkeypatch, record: list) -> None:
         return run(self, job)
 
     monkeypatch.setattr(cli, "_load_experiment_dataset", watched_load)
-    monkeypatch.setattr(cli._Workers, "run", watched_run)
+    monkeypatch.setattr(cv._Workers, "run", watched_run)
 
 
 def simulate_cpus(monkeypatch, cpus: int) -> None:
@@ -212,22 +214,22 @@ def simulate_cpus(monkeypatch, cpus: int) -> None:
 # starts is logged to LOG
 FAILING_WORKER = """
 import sys, time
-from schirn import cli
+from schirn import cv
 
 def fit_chain(ds, params_list):
     if params_list[0].variant.value == "high-rank":
         time.sleep(DELAY)
     raise ValueError(params_list[0].variant.value)
 
-unit_reports = cli._unit_reports
+unit_reports = cv._unit_reports
 
 def logged(job, unit):
     with open(LOG, "a") as fh:
         print(unit, file=fh)
     return unit_reports(job, unit)
 
-cli.fit_chain, cli._unit_reports = fit_chain, logged
-cli._cv_worker(sys.stdin.buffer, sys.stdout.buffer)
+cv.fit_chain, cv._unit_reports = fit_chain, logged
+cv._cv_worker(sys.stdin.buffer, sys.stdout.buffer)
 """
 
 
@@ -268,16 +270,16 @@ class TestWorkerLifetime:
 
     def test_fold_error_keeps_its_type_and_exit_code(self, tmp_path, synth_files, capsys):
         ds, _ = synth_files
-        # X^T X overflows, so every fit rejects its Gram matrix
-        huge = Dataset(X=ds.X * 1e300, Y=ds.Y, Y_true=ds.Y_true)
+        # finite features whose X^T X overflows, so every fit rejects its Gram matrix
+        huge = Dataset(X=ds.X * 1e160, Y=ds.Y, Y_true=ds.Y_true)
         save_matrix(tmp_path / "huge.txt", huge.X)
         args = ["cv", "--features", str(tmp_path / "huge.txt"), "--labels", str(tmp_path / "labels.txt"),
                 "--truth", str(tmp_path / "truth.txt"), "--out", str(tmp_path / "cv")]
         with leaves_no_process():
-            with pytest.raises(ValueError, match="^matrix contains NaN or Inf entries$"):
+            with pytest.raises(NumericalError, match="^the Gram matrix of X overflows$"):
                 run_cv(huge, SchirnParams(), 5, 0)
-            assert main(args) == 2
-        assert capsys.readouterr().err.splitlines()[-1] == "error: matrix contains NaN or Inf entries"
+            assert main(args) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == "error: the Gram matrix of X overflows"
         assert not (tmp_path / "cv").exists()
 
     def test_lowest_failing_unit_wins(self, tmp_path, monkeypatch):
@@ -285,14 +287,14 @@ class TestWorkerLifetime:
         # waits for 0 and raises its error, as the serial runner does, and sends no other unit
         simulate_cpus(monkeypatch, 2)
         log = tmp_path / "units.log"
-        monkeypatch.setattr(cli, "_WORKER", f"DELAY, LOG = 1.0, {str(log)!r}\n" + FAILING_WORKER)
+        monkeypatch.setattr(cv, "_WORKER", f"DELAY, LOG = 1.0, {str(log)!r}\n" + FAILING_WORKER)
         ds, _ = make_synth(60, 8, 6, r=1, seed=0)
         params_list = [BASE, replace(BASE, variant=Variant.NO_RANK)]
         with leaves_no_process(), pytest.raises(ValueError, match="^high-rank$"):
-            cli._run_cvs(ds, params_list, 3, 0)
+            cv._run_cvs(ds, params_list, 3, 0)
         assert sorted(log.read_text().split()) == ["0", "1"]
         serial = {"DELAY": 0.0, "LOG": os.devnull}
-        exec(FAILING_WORKER.partition("cli.fit_chain, ")[0], serial)
+        exec(FAILING_WORKER.partition("cv.fit_chain, ")[0], serial)
         monkeypatch.setattr(sys.modules[__name__], "fit", lambda ds, params, trace: serial["fit_chain"](ds, [params]))
         with pytest.raises(ValueError, match="^high-rank$"):
             serial_run_cvs(ds, params_list, 3, 0)
@@ -305,7 +307,7 @@ class TestWorkerLifetime:
     ], ids=["exit", "killed", "killed-in-a-unit"])
     def test_worker_without_result_exits_1(self, tmp_path, synth_files, monkeypatch, capsys, body, status):
         _, args = synth_files
-        monkeypatch.setattr(cli, "_WORKER", body)
+        monkeypatch.setattr(cv, "_WORKER", body)
         with leaves_no_process():
             assert main(["cv", *args, "--out", str(tmp_path / "cv")]) == 1
         assert capsys.readouterr().err == f"error: a CV worker exited with status {status} without a result\n"
@@ -349,7 +351,7 @@ class TestWorkerLifetime:
     def test_interrupt_while_the_workers_fit_kills_them(self, monkeypatch):
         # the workers would sleep for minutes, so the call returns at once only if it kills them
         ds, _ = make_synth(60, 8, 6, r=1, seed=0)
-        monkeypatch.setattr(cli, "_WORKER", "import sys, time; sys.stdin.buffer.read(1); time.sleep(120)")
+        monkeypatch.setattr(cv, "_WORKER", "import sys, time; sys.stdin.buffer.read(1); time.sleep(120)")
 
         def interrupt(signum, frame):
             raise KeyboardInterrupt

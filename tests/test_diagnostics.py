@@ -42,11 +42,11 @@ def test_no_module_imports_scipy():
             assert not [name for name in names if name.split(".")[0] == "scipy"], path.name
 
 
-@pytest.mark.parametrize("module", ["schirn", "schirn.cli"])
+@pytest.mark.parametrize("module", ["schirn", "schirn.cv", "schirn.cli"])
 def test_import_loads_no_subprocess(module):
     """subprocess and selectors serve only the CV runners, which import them when they
     start and feed their workers, and numpy.random only the functions that draw; importing
-    the package or the CLI must pay for none of them."""
+    the package, the runners or the CLI must pay for none of them."""
     code = (
         f"import sys, {module}\n"
         "print(sorted(m for m in sys.modules\n"
@@ -58,8 +58,10 @@ def test_import_loads_no_subprocess(module):
 def test_ablate_loads_no_numpy_ma(tmp_path):
     """numpy.ma costs about 12 ms to import, and np.unique imports it: neither
     an ablate run nor the CV worker interpreter that runs its fits and scoring
-    may load it. The worker, which draws nothing, loads no numpy.random either."""
-    from schirn import cli, kfold_split
+    may load it. The worker, which draws nothing, loads no numpy.random either, and
+    it parses no options and writes no files, so it loads neither the CLI nor
+    argparse, csv or json."""
+    from schirn import cv, kfold_split
     from schirn.data import save_matrix
 
     ds, _ = make_synth(60, 8, 6, r=1, seed=0)
@@ -75,18 +77,19 @@ def test_ablate_loads_no_numpy_ma(tmp_path):
     )
     assert run_fresh(code) == "0 False"
 
-    # one worker fed every unit of those fits, as cli._Workers feeds its workers, reports its
+    # one worker fed every unit of those fits, as cv._Workers feeds its workers, reports its
     # modules on stderr
-    job = cli._CvJob(ds, kfold_split(ds.n, 3, seed=1), cli._ablate_fits(SchirnParams()))
+    job = cv._CvJob(ds, kfold_split(ds.n, 3, seed=1), cv._ablate_fits(SchirnParams()))
     units = range(len(job.units))
-    probe = cli._WORKER + "; print('numpy.ma' in sys.modules, 'numpy.random' in sys.modules, file=sys.stderr)"
+    unwanted = ("numpy.ma", "numpy.random", "argparse", "csv", "json", "schirn.cli")
+    probe = cv._WORKER + f"; print([m for m in {unwanted!r} if m in sys.modules], file=sys.stderr)"
     feed = b"".join(pickle.dumps(message) for message in (job, *units))
     out = subprocess.run([sys.executable, "-c", probe], input=feed,
-                         env=cli._worker_env(), capture_output=True, check=True, timeout=120)
+                         env=cv._worker_env(), capture_output=True, check=True, timeout=120)
     answers = io.BytesIO(out.stdout)
     assert [pickle.load(answers)[1] for _ in units] == [None] * 9
     assert answers.read() == b""
-    assert out.stderr.decode().strip() == "False False"
+    assert out.stderr.decode().strip() == "[]"
 
 
 class TestVerifyRankTheorem:
