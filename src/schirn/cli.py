@@ -6,9 +6,10 @@ config file (``--config``); explicit command-line flags win over the file,
 which wins over built-in defaults. All randomness flows from the single
 ``seed`` option (noise injection consumes ``seed``, fold splitting
 ``seed + 1``), so identical inputs produce byte-identical outputs. cv,
-grid and ablate run through ``schirn.cv``, which fits in worker processes.
+grid and ablate run through ``schirn.cv``, which fits in worker processes;
+fit and predict parse and write large matrix files on such workers too.
 
-Exit codes: 0 success, 1 numerical failure (or a CV worker that ended
+Exit codes: 0 success, 1 numerical failure (or a worker process that ended
 without a result), 2 input/config error.
 """
 
@@ -19,8 +20,8 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .cv import (METRIC_FIELDS, _ablate_fits, _ablate_rows, _grid_fits, _grid_rows, _run_cvs, _units, _worker_count,
-                 _Workers)
+from .cv import (METRIC_FIELDS, _ablate_fits, _ablate_rows, _grid_fits, _grid_rows, _io_workers, _run_cvs, _units,
+                 _worker_count, _Workers)
 from .data import (Dataset, MatrixFormatError, NoiseSpec, describe, drop_empty_truth, inject_noise, load_dataset,
                    load_matrix, save_matrix, standardize)
 from .diagnostics import rank_report, verify_rank_theorem
@@ -133,21 +134,22 @@ def _resolve(args) -> dict:
     return {**{key: opt.default for key, opt in _OPTIONS.items()}, **file_values, **vars(args)}
 
 
-def _load_experiment_dataset(v: dict) -> Dataset:
-    """Assemble the working dataset; with r > 0 candidates are generated from truth."""
+def _load_experiment_dataset(v: dict, workers=None) -> Dataset:
+    """Assemble the working dataset; with r > 0 candidates are generated from truth. ``workers``
+    (cv._Workers) parse large files in spans."""
     if v["features"] is None:
         raise ValueError("a features file is required (--features)")
     if v["r"] <= 0:
         if v["labels"] is None:
             raise ValueError("a candidate-labels file is required (--labels) when r = 0")
         return load_dataset(v["features"], v["labels"], v["truth"], standardize_features=v["standardize"],
-                            filter_empty_truth=v["filter_empty_truth"])
+                            filter_empty_truth=v["filter_empty_truth"], workers=workers)
     if v["truth"] is None:
         raise ValueError("noise injection (r > 0) requires a ground-truth file (--truth)")
     if v["labels"] is not None:
         raise ValueError("r > 0 generates candidates from --truth; do not also pass --labels")
-    X = load_matrix(v["features"])
-    Y_true = load_matrix(v["truth"], binary=True)
+    X = load_matrix(v["features"], workers=workers)
+    Y_true = load_matrix(v["truth"], binary=True, workers=workers)
     ds = Dataset(X=X, Y=Y_true.copy(), Y_true=Y_true)
     if v["filter_empty_truth"]:
         ds = drop_empty_truth(ds)
@@ -217,6 +219,14 @@ _CONVENTIONS = {
 }
 
 
+def _out_dir(v: dict) -> Path:
+    """--out as the directory a command writes into; checked before any work."""
+    out_dir = Path(v["out"])
+    if out_dir.exists() and not out_dir.is_dir():
+        raise NotADirectoryError(f"--out {out_dir} exists and is not a directory")
+    return out_dir
+
+
 def _write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -233,10 +243,12 @@ def cmd_inject(v: dict) -> None:
 
 
 def cmd_fit(v: dict) -> None:
+    """The workers parse and are gone before the fit, whose row blocks take the CPUs."""
     params = SchirnParams.from_mapping(v)
-    ds = _load_experiment_dataset(v)
+    out_dir = _out_dir(v)
+    with _io_workers() as workers:
+        ds = _load_experiment_dataset(v, workers)
     model = fit(ds, params)
-    out_dir = Path(v["out"])
     save_model(model, out_dir)
     report = model.report
     _write_json(
@@ -254,14 +266,16 @@ def cmd_fit(v: dict) -> None:
 
 
 def cmd_predict(v: dict) -> None:
-    model = load_model(v["model"])
-    X = load_matrix(v["features"])
-    if v["standardize"]:
-        X = standardize(X)
-    out_dir = Path(v["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    scores = predict_scores(model, X)
-    save_matrix(out_dir / "scores.txt", scores)
+    """The same workers parse the features and format the scores."""
+    out_dir = _out_dir(v)
+    with _io_workers() as workers:
+        model = load_model(v["model"])
+        X = load_matrix(v["features"], workers=workers)
+        if v["standardize"]:
+            X = standardize(X)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        scores = predict_scores(model, X)
+        save_matrix(out_dir / "scores.txt", scores, workers=workers)
     save_matrix(out_dir / "labels.txt", binarize(scores, model.params.threshold), binary=True)
 
 
@@ -280,16 +294,17 @@ def cmd_eval(v: dict) -> None:
 def cmd_experiment(v: dict) -> None:
     """cv, grid and ablate: CV runs on one dataset, written as CSV and JSON.
 
-    The CV workers start before the data is read, so that their start-up overlaps the parse.
+    The CV workers start before the data is read, so that their start-up overlaps the parse,
+    which they share when the files are large.
     """
     params = SchirnParams.from_mapping(v)
     stem, make_fits, tabulate = _EXPERIMENTS[v["command"]]
     fits = make_fits(params, v)
+    out_dir = _out_dir(v)
     with _Workers(_worker_count(len(_units(v["folds"], fits)))) as workers:
-        ds = _load_experiment_dataset(v)
+        ds = _load_experiment_dataset(v, workers)
         outcomes = _run_cvs(ds, fits, v["folds"], v["seed"], workers)
     header, rows, payload = tabulate(params, fits, outcomes)
-    out_dir = Path(v["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / f"{stem}.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -376,7 +391,7 @@ def main(argv=None) -> int:
     except (NumericalError, ChildProcessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (MatrixFormatError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+    except (MatrixFormatError, FileExistsError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
             PermissionError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,10 +1,13 @@
-"""Cross-validation, grid search and ablation runners.
+"""Cross-validation, grid search and ablation runners, and the worker processes.
 
 Their fits run in worker processes with BLAS on one thread, one per usable
 CPU but never more than there are units of work (one prefix chain of one
 fold each). The CLI starts them before it reads the data, and each takes
 the next unit as it frees up; the outputs depend on none of this. A worker
-imports this module and what it needs, never the CLI.
+imports this module and what it needs, never the CLI. The same workers
+serve any job with units (the matrix text spans of schirn.data too), and a
+worker may serve several jobs in its life: fit and predict start one per
+usable CPU for their matrix text I/O alone.
 """
 
 import os
@@ -20,7 +23,7 @@ import numpy as np
 
 from .data import Dataset, FoldSplit, kfold_split
 from .metrics import evaluate_all
-from .solver import SchirnParams, Variant, binarize, fit_chain, predict_scores, prefix_chains
+from .solver import SchirnParams, Variant, _usable_cpus, binarize, fit_chain, predict_scores, prefix_chains
 
 __all__ = ["CvOutcome", "run_ablate", "run_cv", "run_grid"]
 
@@ -54,8 +57,8 @@ def run_cv(ds: Dataset, params: SchirnParams, k_folds: int, seed: int) -> CvOutc
 def _run_cvs(ds: Dataset, params_list, k_folds: int, seed: int, workers=None) -> list[CvOutcome]:
     """run_cv for each params on the same folds. The unit of work is one prefix chain
     (solver.prefix_chains) of one fold, run in a worker process by solver.fit_chain, so
-    list ascending alphas together. ``workers`` are _Workers started for this call
-    (started here when None); they serve no other, and are closed on return."""
+    list ascending alphas together. ``workers`` are _Workers for this call (started here when
+    None), which may have served the command's I/O before; they are closed on return."""
     job = _CvJob(ds, kfold_split(ds.n, k_folds, seed=seed + 1), list(params_list))
     with workers or _Workers(_worker_count(len(job.units))) as workers:
         results = workers.run(job)
@@ -80,6 +83,9 @@ class _CvJob:
         """(fold, chain) of each unit, fold by fold, each fold's chains in list order."""
         return _units(self.split.k, self.params_list)
 
+    def run_unit(self, unit: int) -> list:
+        return _unit_reports(self, unit)
+
 
 def _units(k_folds: int, params_list) -> list[tuple[int, range]]:
     chains = prefix_chains(params_list)
@@ -102,7 +108,7 @@ def _unit_reports(job: _CvJob, unit: int) -> list:
 
 
 # the program of a _Workers worker interpreter
-_WORKER = "import sys; from schirn.cv import _cv_worker; _cv_worker(sys.stdin.buffer, sys.stdout.buffer)"
+_WORKER = "import sys; from schirn.cv import _worker; _worker(sys.stdin.buffer, sys.stdout.buffer)"
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -118,18 +124,25 @@ def _worker_env() -> dict:
 
 def _worker_count(units: int) -> int:
     """One worker per usable CPU, and never more than there are units."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(units, cpus)
+    return min(units, _usable_cpus())
+
+
+def _io_workers() -> "_Workers":
+    """Workers for a command's matrix text I/O: one per usable CPU, or none on one CPU, where a
+    lone worker would parse no faster than the command's own process, which waits for it."""
+    cpus = _usable_cpus()
+    return _Workers(cpus if cpus > 1 else 0)
 
 
 class _Workers:
-    """Worker interpreters for the units of one _run_cvs call; they start when this is made.
+    """Worker interpreters for the jobs of one command; they start when this is made.
 
     Each is a fresh ``sys.executable`` with BLAS on one thread: w workers then use w cores, and
-    the reports do not depend on the caller's BLAS setting. (A forked worker would inherit a
+    the results do not depend on the caller's BLAS setting. (A forked worker would inherit a
     multi-threaded BLAS; threads serialize on the interpreter lock.) Their start-up overlaps
-    whatever the caller does before run (cmd_experiment reads the data). Leaving the context,
-    or close, kills every worker still running, waits for it and closes its pipes.
+    whatever the caller does before its first run (reading files too small for spans, or a
+    model). Leaving the context, or close, kills every worker still running, waits for it and
+    closes its pipes.
     """
 
     def __init__(self, count: int):
@@ -145,6 +158,9 @@ class _Workers:
             self.close()
             raise
 
+    def __len__(self) -> int:
+        return len(self.procs)
+
     def __enter__(self) -> "_Workers":
         return self
 
@@ -159,8 +175,9 @@ class _Workers:
             with suppress(BrokenPipeError):  # unsent input of a killed worker
                 proc.stdin.close()
 
-    def run(self, job: _CvJob) -> list:
-        """_unit_reports of every unit of the job, in unit order; the parent fits nothing.
+    def run(self, job) -> list:
+        """``job.run_unit(i)`` for every i in ``range(len(job.units))``, in unit order, all run in
+        the workers (at least one).
 
         Each worker gets the job once, then one unit index at a time: the next unit goes to
         whichever worker answers first. An exception raised in a unit reaches the caller as
@@ -198,12 +215,12 @@ class _Workers:
                 for key, _ in ready.select():
                     proc = key.data
                     try:
-                        reports, error = pickle.load(proc.stdout)
+                        result, error = pickle.load(proc.stdout)
                     except (EOFError, pickle.UnpicklingError):
                         raise _ended(proc) from None
                     unit = busy.pop(proc)
                     if error is None:
-                        results[unit] = reports
+                        results[unit] = result
                     else:
                         errors[unit] = error
                     send(proc)
@@ -213,29 +230,33 @@ class _Workers:
 
 
 def _ended(proc) -> ChildProcessError:
-    return ChildProcessError(f"a CV worker exited with status {proc.wait()} without a result")
+    return ChildProcessError(f"a worker process exited with status {proc.wait()} without a result")
 
 
-def _cv_worker(stdin, stdout) -> None:
-    """Body of a _Workers worker: reads the job, then unit indices until its input ends, and
-    answers each unit with (its reports, None), or (None, the exception that stopped it).
+def _worker(stdin, stdout) -> None:
+    """Body of a _Workers worker: reads messages until its input ends. A unit index is
+    answered with (``job.run_unit(unit)``, None), or (None, the exception that stopped it), for
+    the last job read; any other message is the next job.
 
     Ctrl-C is left to the parent, which kills its workers.
     """
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    job = None
     try:
-        job = pickle.load(stdin)
         while True:
-            unit = pickle.load(stdin)
+            message = pickle.load(stdin)
+            if not isinstance(message, int):
+                job = message
+                continue
             try:
-                answer = _unit_reports(job, unit), None
+                answer = job.run_unit(message), None
             except Exception as exc:  # sent to the parent, which raises it
                 answer = None, exc
             pickle.dump(answer, stdout, pickle.HIGHEST_PROTOCOL)
             stdout.flush()
-    except EOFError:  # no more units
+    except EOFError:  # no more messages
         return
 
 

@@ -17,10 +17,20 @@ stays because it states the full language above (``1_000``, non-ASCII
 digits, a form feed as a line break) and because it is the only error
 reporter, so a malformed file gets the same message and line number
 whichever path saw it first.
+
+Spans. Given a command's worker processes (``cv._Workers``), two or more,
+``load_matrix`` cuts the body of a file of at least two spans (``_SPAN``
+bytes each) into spans of whole lines, which the workers check and parse
+by the rules above; ``save_matrix`` formats a float matrix whose text may
+reach two spans in spans of rows. The in-process path is one span. Each
+span's array is the one numpy gives for those lines alone, so the result
+is bit-identical, and a file outside the plain subset still goes to the
+row loop whole, whatever span showed it.
 """
 
 import io
 import itertools
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -128,13 +138,15 @@ class FoldSplit:
         return np.flatnonzero(self.assignments != fold)
 
 
-def load_matrix(path, *, binary: bool = False) -> np.ndarray:
-    """Parse a matrix text file; ``binary=True`` restricts tokens to 0/1."""
+def load_matrix(path, *, binary: bool = False, workers=None) -> np.ndarray:
+    """Parse a matrix text file; ``binary=True`` restricts tokens to 0/1.
+
+    ``workers`` (cv._Workers) parse a large plain file in spans; see the module docstring.
+    """
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"file not found: {path}")
-    with open(path, "rb") as fh:
-        out = _parse_bulk(fh, binary)
+    out = _parse_plain(path, binary, workers)
     if out is None:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -142,7 +154,11 @@ def load_matrix(path, *, binary: bool = False) -> np.ndarray:
     return out
 
 
-_BLOCK = 1 << 20  # bytes of text the bulk parser holds at a time
+_BLOCK = 1 << 20  # bytes of text the span parser holds at a time
+# the most bytes of text in a span of a file or a matrix. Below two spans a file is parsed in the
+# command's process: a worker takes about 0.2 s to start, in which the parent parses 9-14 MB.
+_SPAN = 1 << 22
+_FLOAT_TEXT = 25  # the most bytes a float takes in save_matrix's text: "-2.2250738585072014e-308" and a separator
 _BLANK = b" \t\r\n"
 _HEADER_BYTES = b"0123456789" + _BLANK
 _FLOAT_BYTES = b"+-.eE" + _HEADER_BYTES
@@ -151,11 +167,20 @@ _LABEL_PAIRS = (b"00", b"01", b"10", b"11")
 
 
 class _NotPlain(ValueError):
-    """A block of the file is outside the plain subset."""
+    """A span of the file is outside the plain subset."""
 
 
-def _parse_bulk(fh, binary: bool) -> np.ndarray | None:
-    """Parse a plain file with numpy in blocks of whole lines; ``None`` sends it to the row loop.
+def _span_count(size: int, workers) -> int:
+    """How many spans ``size`` bytes of text are cut into: one, or, with two workers or more and
+    ``size`` of two spans or more, a multiple of the worker count of spans of at most _SPAN bytes."""
+    count = len(workers) if workers is not None else 0
+    if count < 2 or size < 2 * _SPAN:
+        return 1
+    return count * -(-size // (count * _SPAN))
+
+
+def _parse_plain(path: Path, binary: bool, workers) -> np.ndarray | None:
+    """Parse a plain file with numpy, span by span; ``None`` sends it to the row loop.
 
     Plain means: a header of two ASCII numbers, a body of only the bytes in
     ``_FLOAT_BYTES`` (``_LABEL_BYTES`` with no two digits adjacent for label
@@ -165,19 +190,70 @@ def _parse_bulk(fh, binary: bool) -> np.ndarray | None:
     bit-identical; numpy's result must still have the header's shape and be
     finite.
     """
-    header = fh.readline()
-    tokens = header.split()
-    if (len(tokens) != 2 or header.translate(None, _HEADER_BYTES) or not header.endswith(b"\n")
-            or header.count(b"\r") != header.count(b"\r\n")):
-        return None
-    rows, cols = int(tokens[0]), int(tokens[1])
-    allowed = _LABEL_BYTES if binary else _FLOAT_BYTES
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        tokens = header.split()
+        if (len(tokens) != 2 or header.translate(None, _HEADER_BYTES) or not header.endswith(b"\n")
+                or header.count(b"\r") != header.count(b"\r\n")):
+            return None
+        rows, cols = int(tokens[0]), int(tokens[1])
+        cuts = _line_cuts(fh, workers)
+        try:
+            if len(cuts) == 2:
+                spans = [_parse_span(fh, cuts[1], binary)]
+            else:
+                spans = workers.run(_SpanParse(str(path), binary, cuts))
+        except _NotPlain:
+            return None
+    parts = []
     filled = 0  # body lines up to the last one that is not blank
+    seen = 0  # line feeds in the spans before this one
+    for part, span_filled, span_lines in spans:
+        if part is not None:
+            if part.shape[1] != cols:
+                return None
+            parts.append(part)
+        if span_filled:
+            filled = seen + span_filled
+        seen += span_lines
+    if not parts or filled != rows or sum(len(part) for part in parts) != rows:
+        return None
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _line_cuts(fh, workers) -> list[int]:
+    """Offsets that cut the body, from fh's position to the end of the file, into spans of whole
+    lines (_span_count of them, or fewer where lines are long), the first and the last included."""
+    start = fh.tell()
+    end = fh.seek(0, os.SEEK_END)
+    count = _span_count(end - start, workers)
+    cuts = [start]
+    for i in range(1, count):
+        fh.seek(start + (end - start) * i // count - 1)
+        fh.readline()  # to the start of the next line
+        if cuts[-1] < fh.tell() < end:
+            cuts.append(fh.tell())
+    fh.seek(start)
+    return [*cuts, end]
+
+
+def _parse_span(fh, stop: int, binary: bool) -> tuple:
+    """Parse the body lines from fh's position up to byte ``stop``, a line start or the end of the file.
+
+    Returns (array, filled, lines): ``array`` is numpy's, or None when every line is blank,
+    ``filled`` counts the lines up to the last one that is not blank and ``lines`` the line
+    feeds. Raises _NotPlain when the span is outside the plain subset (see _parse_plain) or
+    has a blank line before a data line.
+    """
+    allowed = _LABEL_BYTES if binary else _FLOAT_BYTES
+    filled = seen = 0
 
     def body_lines():
-        nonlocal filled
-        seen = 0  # line feeds in the blocks before this one
-        while block := fh.read(_BLOCK) + fh.readline():
+        nonlocal filled, seen
+        while (left := stop - fh.tell()) > 0:
+            block = fh.read(min(_BLOCK, left))
+            if fh.tell() < stop:
+                block += fh.readline()  # the rest of the last line, which ends by ``stop``
             if (block.translate(None, allowed)
                     or b"\r" in block and block.count(b"\r") != block.count(b"\r\n")
                     or binary and any(pair in block for pair in _LABEL_PAIRS)):
@@ -189,17 +265,39 @@ def _parse_bulk(fh, binary: bool) -> np.ndarray | None:
             yield from io.BytesIO(block)
 
     lines = body_lines()
+    # a data line comes first, so numpy never sees an empty input
+    first = next(lines, b"")
+    if not first.strip():
+        for _ in lines:  # checks and counts the rest, which must be blank
+            pass
+        if filled:
+            raise _NotPlain
+        return None, 0, seen
     try:
-        # a plain body starts with a data line, so numpy never sees an empty input
-        first = next(lines, b"")
-        if not first.strip():
-            return None
         out = np.loadtxt(itertools.chain([first], lines), comments=None, ndmin=2)
-    except ValueError:  # numpy's parse errors, and _NotPlain
-        return None
-    if filled != rows or out.shape != (rows, cols) or not np.isfinite(out).all():
-        return None
-    return out
+    except ValueError:  # numpy's parse errors
+        raise _NotPlain from None
+    if not np.isfinite(out).all():
+        raise _NotPlain
+    return out, filled, seen
+
+
+@dataclass(frozen=True)
+class _SpanParse:
+    """A worker job (cv._Workers.run): _parse_span of each span between consecutive ``cuts``."""
+
+    path: str
+    binary: bool
+    cuts: list
+
+    @property
+    def units(self) -> range:
+        return range(len(self.cuts) - 1)
+
+    def run_unit(self, unit: int) -> tuple:
+        with open(self.path, "rb") as fh:
+            fh.seek(self.cuts[unit])
+            return _parse_span(fh, self.cuts[unit + 1], self.binary)
 
 
 def _parse_rows(path: Path, lines: list[str], binary: bool) -> np.ndarray:
@@ -256,8 +354,11 @@ def _is_float(tok: str) -> bool:
     return True
 
 
-def save_matrix(path, a, *, binary: bool = False) -> None:
-    """Write a matrix in the text format; floats use shortest round-trip repr."""
+def save_matrix(path, a, *, binary: bool = False, workers=None) -> None:
+    """Write a matrix in the text format; floats use shortest round-trip repr.
+
+    ``workers`` (cv._Workers) format a large float matrix in spans of rows; see the module docstring.
+    """
     A = as_matrix(a)
     if binary:
         _check_binary(A, "matrix")
@@ -265,12 +366,33 @@ def save_matrix(path, a, *, binary: bool = False) -> None:
         cells = np.full((A.shape[0], 2 * A.shape[1]), ord(" "), dtype=np.uint8)
         cells[:, ::2] = A + ord("0")
         cells[:, -1] = ord("\n")
-        body = cells.tobytes()
+        spans = [cells.tobytes()]
     else:
-        body = "".join([" ".join(map(repr, row)) + "\n" for row in A.tolist()]).encode("ascii")
+        count = min(A.shape[0], _span_count(A.size * _FLOAT_TEXT, workers))
+        spans = [_format_rows(A)] if count == 1 else workers.run(_RowFormat(A, count))
     with open(path, "wb") as fh:
         fh.write(f"{A.shape[0]} {A.shape[1]}\n".encode("ascii"))
-        fh.write(body)
+        fh.writelines(spans)
+
+
+def _format_rows(A: np.ndarray) -> bytes:
+    return "".join([" ".join(map(repr, row)) + "\n" for row in A.tolist()]).encode("ascii")
+
+
+@dataclass(frozen=True)
+class _RowFormat:
+    """A worker job (cv._Workers.run): _format_rows of each of ``count`` near-equal spans of A's rows."""
+
+    A: np.ndarray
+    count: int
+
+    @property
+    def units(self) -> range:
+        return range(self.count)
+
+    def run_unit(self, unit: int) -> bytes:
+        rows = self.A.shape[0]
+        return _format_rows(self.A[rows * unit // self.count:rows * (unit + 1) // self.count])
 
 
 def load_dataset(
@@ -280,11 +402,13 @@ def load_dataset(
     *,
     standardize_features: bool = False,
     filter_empty_truth: bool = False,
+    workers=None,
 ) -> Dataset:
-    """Load a dataset from its on-disk file pair (plus optional truth file)."""
-    X = load_matrix(features)
-    Y = load_matrix(labels, binary=True)
-    Y_true = load_matrix(truth, binary=True) if truth is not None else None
+    """Load a dataset from its on-disk file pair (plus optional truth file); ``workers`` as for
+    load_matrix."""
+    X = load_matrix(features, workers=workers)
+    Y = load_matrix(labels, binary=True, workers=workers)
+    Y_true = load_matrix(truth, binary=True, workers=workers) if truth is not None else None
     ds = Dataset(X=X, Y=Y, Y_true=Y_true)
     if filter_empty_truth:
         ds = drop_empty_truth(ds)

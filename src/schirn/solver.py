@@ -74,6 +74,21 @@ would have stopped there too. Each block returns new arrays and never
 writes into the ones it was given, so a handed-on state holds the
 iterates by reference.
 
+Row blocks. The row-local n x l steps (X W, the N step, the G pull,
+C = G M and the multiplier step) run over blocks of rows, each block on
+its own thread (_Rows). Everything else stays whole-matrix: the W step
+(dual route included), the Gram matrices and their eigendecompositions,
+the X^T products, change_noise, the wide C step M G and every reduction
+(N.any, the norms, the objective). An elementwise step computes each
+entry from the same operands whatever the blocks. The products X W and
+G M keep their bits too, as long as blocks start at multiples of
+_ROW_ALIGN rows and are not so small that BLAS computes them with other
+kernels than the whole product (see _ROW_ALIGN and _ROW_FLOOR). So W, N
+and both traces are bit-identical to one block, which is the serial loop.
+fit uses one block per usable CPU when every block holds at least
+_ROW_FLOOR entries of the n x l iterates; fit_chain always uses one,
+because its callers already run one fit per CPU.
+
 Ablation variants: "high-rank" is the full method; "no-rank" drops the
 nuclear term (C = G); "no-sparsity" keeps the high-rank term but freezes
 N = 0; "low-rank" flips the nuclear term's sign so singular values are
@@ -82,6 +97,7 @@ shrunk instead of inflated.
 
 import enum
 import math
+import os
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -115,6 +131,15 @@ C_SHIFT_CONVENTIONS = ("paper", "derived")
 TRACE_LEVELS = ("none", "residual")
 # C step: Gram eigenvalues below this fraction of the largest take sigma from ||G v||
 _WEAK_EIG = 1e-4
+# the fewest n x l entries in a row block of fit. Below it a thread hand-off costs more than the
+# block's share of an iteration, and a block's X W or G M (with more than 7 columns) could fall to
+# OpenBLAS's small-matrix kernel (up to 1e6 multiply-adds on SkylakeX) while the whole product
+# does not, which sums in another order.
+_ROW_FLOOR = 1 << 17
+# row blocks start at multiples of this many rows. OpenBLAS computes a product's rows in groups
+# whose edge kernels sum in another order, so a block that starts inside a group can change the
+# last bits of X W and G M; on SkylakeX only starts at multiples of 24 kept every bit.
+_ROW_ALIGN = 48
 
 
 class Variant(str, enum.Enum):
@@ -343,6 +368,60 @@ def _nuclear_sign(variant: Variant) -> float:
     return 0.0
 
 
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+class _Rows:
+    """Blocks of rows of the n x l iterates, and the threads that run them.
+
+    ``count`` blocks of n rows, of equal size up to _ROW_ALIGN rows, since each starts at a
+    multiple of _ROW_ALIGN; so there may be fewer (one for n < 2 * _ROW_ALIGN). The calling
+    thread runs the first block and a pool thread each other one. Leaving the context shuts
+    the pool down.
+    """
+
+    def __init__(self, n: int = 0, count: int = 1):
+        cuts = sorted({n * i // count // _ROW_ALIGN * _ROW_ALIGN for i in range(1, count)} - {0})
+        self.blocks = [slice(a, b) for a, b in zip([0, *cuts], [*cuts, n])] if cuts else [slice(None)]
+        self._pool = None
+        if cuts:
+            from concurrent.futures import ThreadPoolExecutor  # imported here: about 10 ms, paid by blocked fits only
+
+            self._pool = ThreadPoolExecutor(len(cuts))
+
+    def __enter__(self) -> "_Rows":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+
+    def build(self, step, shape, *arrays) -> np.ndarray:
+        """A new array of ``shape`` whose rows in each block ``step(out, *blocks)`` writes into ``out``,
+        a view of those rows, from ``blocks``, the same rows of each of ``arrays``. With one block
+        the result is ``step(None, *arrays)``, which returns a new array.
+
+        Every block has finished when this returns or raises; of several errors, the first block's.
+        """
+        if self._pool is None:
+            return step(None, *arrays)
+        out = np.empty(shape)
+        first, *others = self.blocks
+        futures = [self._pool.submit(step, out[r], *(a[r] for a in arrays)) for r in others]
+        try:
+            step(out[first], *(a[first] for a in arrays))
+        finally:
+            errors = [future.exception() for future in futures]  # waits for each block
+        for error in errors:
+            if error is not None:
+                raise error
+        return out
+
+
+_ONE_BLOCK = _Rows()
+
+
 def _sym_gram(X: np.ndarray, dual: bool) -> np.ndarray:
     """X^T X (X X^T when ``dual``), made exactly symmetric."""
     gram = X @ X.T if dual else X.T @ X
@@ -377,31 +456,47 @@ def update_w(state: SolverState, X: np.ndarray, params: SchirnParams, eig=None, 
     return eig.Q @ Z
 
 
-def update_n(state: SolverState, Y: np.ndarray, params: SchirnParams, Xt=None) -> np.ndarray:
+def update_n(state: SolverState, Y: np.ndarray, params: SchirnParams, Xt=None, rows=_ONE_BLOCK) -> np.ndarray:
     """One exact proximal step for the noise matrix.
 
     Soft-threshold M = Y - C by alpha/2, map positive survivors to 1, then
     clip to the candidate set; computed as the single comparison
     M > alpha/2 on the candidate entries. Under the no-sparsity variant N
     stays zero. ``Xt`` is optional XtProducts whose X^T N is kept in step.
+    ``rows`` (_Rows) runs the step over row blocks.
     """
     if params.variant is Variant.NO_SPARSITY:
         N = np.zeros_like(Y)
     else:
-        # shrink(Y - C, alpha/2) > 0 exactly where Y - C > alpha/2; N <= Y keeps the candidates
-        N = ((Y - state.C > params.alpha / 2.0) & (Y == 1.0)).astype(np.float64)
+        half = params.alpha / 2.0
+
+        def step(out, Y, C):
+            # shrink(Y - C, alpha/2) > 0 exactly where Y - C > alpha/2; N <= Y keeps the candidates
+            noisy = Y - C > half
+            noisy &= Y == 1.0
+            if out is None:
+                return noisy.astype(np.float64)
+            np.copyto(out, noisy)
+
+        N = rows.build(step, Y.shape, Y, state.C)
     if Xt is not None:
         Xt.change_noise(N, state.N)
     return N
 
 
-def _pull(Y, N, Lam, XW, mu: float) -> np.ndarray:
-    """G = (2Y - 2N + Lam + mu XW) / (2 + mu); linear, so also X^T G from the X^T products."""
-    return (2.0 * Y - 2.0 * N + Lam + mu * XW) / (2.0 + mu)
+def _pull(Y, N, Lam, XW, mu: float, out=None) -> np.ndarray:
+    """G = (2Y - 2N + Lam + mu XW) / (2 + mu), in ``out`` if given; linear, so also X^T G from the
+    X^T products. The operations are those of the formula, in its order."""
+    G = np.multiply(Y, 2.0, out=out)
+    G -= 2.0 * N
+    G += Lam
+    G += mu * XW
+    G /= 2.0 + mu
+    return G
 
 
 def update_c(state: SolverState, X: np.ndarray, Y: np.ndarray, params: SchirnParams, XW=None,
-             Xt=None) -> np.ndarray:
+             Xt=None, rows=_ONE_BLOCK) -> np.ndarray:
     """Singular-value shift update of the relaxed prediction matrix.
 
     The quadratic part pulls C toward G = (2Y - 2N + Lam + mu XW) / (2 + mu);
@@ -443,19 +538,22 @@ def update_c(state: SolverState, X: np.ndarray, Y: np.ndarray, params: SchirnPar
     Inf in G raises ValueError, detected on the small Gram matrix.
 
     ``Xt`` is optional XtProducts (l <= n only): Xt.XtC is then set to
-    X^T C = (X^T G) M, with X^T G formed from the X^T products.
+    X^T C = (X^T G) M, with X^T G formed from the X^T products. ``rows``
+    (_Rows) runs the pull and C = G M over row blocks.
     """
     mu = state.mu
     if XW is None:
         XW = X @ state.W
-    G = _pull(Y, state.N, state.Lam, XW, mu)
+    G = rows.build(lambda out, Y, N, Lam, XW: _pull(Y, N, Lam, XW, mu, out=out), Y.shape, Y, state.N, state.Lam, XW)
     M = _spectral_map(G, params, mu)
     if Xt is not None:
         XtG = _pull(Xt.XtY, Xt.XtN, Xt.XtLam, Xt.XtXW, mu)
         Xt.XtC = XtG if M is None else XtG @ M
     if M is None:
         return G
-    return M @ G if G.shape[1] > G.shape[0] else G @ M
+    if G.shape[1] > G.shape[0]:
+        return M @ G
+    return rows.build(lambda out, G: np.matmul(G, M, out=out), G.shape, G)
 
 
 def _spectral_map(G: np.ndarray, params: SchirnParams, mu: float):
@@ -486,15 +584,24 @@ def _spectral_map(G: np.ndarray, params: SchirnParams, mu: float):
 
 
 def update_lagrange(state: SolverState, X: np.ndarray, params: SchirnParams, XW=None,
-                    Xt=None) -> tuple[np.ndarray, float]:
+                    Xt=None, rows=_ONE_BLOCK) -> tuple[np.ndarray, float]:
     """Multiplier ascent with the pre-update mu, then the geometric mu step.
 
     ``XW`` is an optional precomputed X @ state.W. ``Xt`` is optional
-    XtProducts whose X^T Lam takes the same step.
+    XtProducts whose X^T Lam takes the same step. ``rows`` (_Rows) runs the
+    ascent over row blocks.
     """
     if XW is None:
         XW = X @ state.W
-    new_lam = state.Lam + state.mu * (XW - state.C)
+    mu = state.mu
+
+    def step(out, XW, C, Lam):
+        out = np.subtract(XW, C, out=out)
+        out *= mu
+        out += Lam
+        return out
+
+    new_lam = rows.build(step, state.Lam.shape, XW, state.C, state.Lam)
     if Xt is not None:
         Xt.XtLam = Xt.XtLam + state.mu * (Xt.XtXW - Xt.XtC)
     new_mu = min(params.mu_max, params.rho * state.mu)
@@ -538,7 +645,10 @@ def fit(ds, params: SchirnParams, trace: str = "residual") -> Model:
     """
     if trace not in TRACE_LEVELS:
         raise ValueError(f"trace must be one of {TRACE_LEVELS}, got {trace!r}")
-    return _fit(*_training_arrays(ds), params, trace == "residual")[0]
+    X, Y = _training_arrays(ds)
+    n, l = Y.shape
+    with _Rows(n, max(1, min(_usable_cpus(), n * l // _ROW_FLOOR))) as rows:
+        return _fit(X, Y, params, trace == "residual", rows=rows)[0]
 
 
 def fit_chain(ds, params_list) -> list[Model]:
@@ -569,11 +679,12 @@ def _training_arrays(ds) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fit(X, Y, params: SchirnParams, traced: bool, lead: _Branch | None = None,
-         keep: bool = False) -> tuple[Model, _Branch | None]:
+         keep: bool = False, rows: _Rows = _ONE_BLOCK) -> tuple[Model, _Branch | None]:
     """The ALM loop of fit and fit_chain: the model and, with ``keep``, its _Branch.
 
     ``lead`` is the _Branch of an untraced fit on the same X and Y whose
-    zero-noise prefix this one repeats; the loop resumes from it.
+    zero-noise prefix this one repeats; the loop resumes from it. ``rows``
+    runs the row-local steps over row blocks.
     """
     n, d = X.shape
     l = Y.shape[1]
@@ -598,11 +709,11 @@ def _fit(X, Y, params: SchirnParams, traced: bool, lead: _Branch | None = None,
     for _ in range(state.iter, end):
         if keep and report.first_noise_iter is None:
             clean = state.W, state.C, state.Lam, state.mu, state.iter, Xt and replace(Xt)  # before this iteration
-        state.W = update_w(state, X, params, eig=eig, dual=dual, Xt=Xt)
-        XW = X @ state.W
-        state.N = update_n(state, Y, params, Xt=Xt)
-        state.C = update_c(state, X, Y, params, XW=XW, Xt=Xt)
-        state.Lam, state.mu = update_lagrange(state, X, params, XW=XW, Xt=Xt)
+        state.W = W = update_w(state, X, params, eig=eig, dual=dual, Xt=Xt)
+        XW = rows.build(lambda out, X: np.matmul(X, W, out=out), (n, l), X)
+        state.N = update_n(state, Y, params, Xt=Xt, rows=rows)
+        state.C = update_c(state, X, Y, params, XW=XW, Xt=Xt, rows=rows)
+        state.Lam, state.mu = update_lagrange(state, X, params, XW=XW, Xt=Xt, rows=rows)
         state.iter += 1
         if report.first_noise_iter is None and state.N.any():
             report.first_noise_iter = state.iter

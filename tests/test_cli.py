@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from schirn import SchirnParams, Variant, fit
+from schirn import SchirnParams, Variant, cli, fit
 from schirn.cli import main, parse_config_file
 from schirn.cv import (
     ABLATION_ORDER,
@@ -488,6 +488,33 @@ class TestPrefixSharingMatchesSerialRunners:
         assert names == sorted(p.name for p in (tmp_path / "shared").iterdir()) and len(names) == 2
         for name in names:
             assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+
+class TestOutIsAFile:
+    """--out naming an existing regular file exits 2 with an error line, before any work."""
+
+    @pytest.mark.parametrize("command", ["fit", "predict", "cv", "grid", "ablate"])
+    def test_exits_2_before_any_work(self, synth_files, tmp_path, monkeypatch, capsys, command):
+        paths, _ = synth_files
+        data = ["--features", str(paths["features"]), "--labels", str(paths["labels"])]
+        if command == "predict":
+            assert main(["fit", *data, "--max-iter", "5", "--out", str(tmp_path / "model")]) == 0
+            args = ["predict", "--model", str(tmp_path / "model"), "--features", str(paths["features"])]
+            work = "load_model"
+        else:
+            folds = [] if command == "fit" else ["--folds", "2"]
+            args = [command, *data, "--max-iter", "5", *folds]
+            work = "_load_experiment_dataset"
+
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{command} started its work")
+
+        monkeypatch.setattr(cli, work, no_work)
+        out = tmp_path / "taken.txt"
+        out.write_text("kept\n")
+        assert main([*args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --out {out} exists and is not a directory\n"
+        assert out.read_text() == "kept\n"
 
 
 class TestRankReportCmd:

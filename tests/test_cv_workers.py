@@ -194,9 +194,9 @@ def started_workers(monkeypatch, record: list) -> None:
     before = child_pids()
     load, run = cli._load_experiment_dataset, cv._Workers.run
 
-    def watched_load(v):
+    def watched_load(v, workers=None):
         record.append(child_pids() - before)
-        return load(v)
+        return load(v, workers)
 
     def watched_run(self, job):
         record.append(child_pids() - before)
@@ -229,7 +229,7 @@ def logged(job, unit):
     return unit_reports(job, unit)
 
 cv.fit_chain, cv._unit_reports = fit_chain, logged
-cv._cv_worker(sys.stdin.buffer, sys.stdout.buffer)
+cv._worker(sys.stdin.buffer, sys.stdout.buffer)
 """
 
 
@@ -310,7 +310,7 @@ class TestWorkerLifetime:
         monkeypatch.setattr(cv, "_WORKER", body)
         with leaves_no_process():
             assert main(["cv", *args, "--out", str(tmp_path / "cv")]) == 1
-        assert capsys.readouterr().err == f"error: a CV worker exited with status {status} without a result\n"
+        assert capsys.readouterr().err == f"error: a worker process exited with status {status} without a result\n"
 
     @pytest.mark.parametrize("features", ["missing", "malformed"])
     @pytest.mark.parametrize("command", ["cv", "grid", "ablate"])
@@ -339,8 +339,8 @@ class TestWorkerLifetime:
         started_workers(monkeypatch, seen)
         load = cli._load_experiment_dataset
 
-        def interrupted(v):
-            load(v)
+        def interrupted(v, workers=None):
+            load(v, workers)
             raise KeyboardInterrupt
 
         monkeypatch.setattr(cli, "_load_experiment_dataset", interrupted)

@@ -1,4 +1,6 @@
+import pickle
 import warnings
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import schirn.data
+from schirn import cv
 from schirn.cli import main
 from schirn.data import (
     Dataset,
@@ -121,6 +124,86 @@ def assert_same_as_reference(path, binary):
     return got
 
 
+class InProcessWorkers:
+    """cv._Workers.run in this process, for ``count`` workers: the job and each result go through
+    pickle, as to and from a worker, and the lowest failing unit's error is raised."""
+
+    def __init__(self, count: int = 3):
+        self.count = count
+        self.units_run = 0
+
+    def __len__(self) -> int:
+        return self.count
+
+    def run(self, job) -> list:
+        job = pickle.loads(pickle.dumps(job))
+        self.units_run += len(job.units)
+        return [pickle.loads(pickle.dumps(job.run_unit(unit))) for unit in job.units]
+
+
+@pytest.fixture(scope="class", params=["in-process", "spans"])
+def span_path(request):
+    """Runs each test of a class twice: as written, then with load_matrix and save_matrix given
+    InProcessWorkers and a split size of one byte, so that spans cut files at every line and
+    matrices at every row."""
+    if request.param == "in-process":
+        yield
+        return
+    workers = InProcessWorkers()
+    module = request.module
+    with mock.patch.object(schirn.data, "_SPAN", 1), \
+            mock.patch.object(module, "load_matrix", partial(load_matrix, workers=workers)), \
+            mock.patch.object(module, "save_matrix", partial(save_matrix, workers=workers)):
+        yield
+    assert workers.units_run > 0
+
+
+class TestSpans:
+    def test_a_one_byte_span_cuts_at_every_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(schirn.data, "_SPAN", 1)
+        p = tmp_path / "m.txt"
+        p.write_bytes(b"3 2\n1 2\r\n\t3 4\n\n5e-1 6  \n \n")
+        with open(p, "rb") as fh:
+            fh.readline()
+            cuts = schirn.data._line_cuts(fh, InProcessWorkers())
+        assert cuts == [4, 9, 14, 15, 24, 26]
+        workers = InProcessWorkers()
+        save_matrix(p, np.arange(12.0).reshape(4, 3), workers=workers)
+        assert workers.units_run == 4
+
+    def test_no_span_below_two_workers_or_two_spans(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(schirn.data, "_SPAN", 8)
+        workers = InProcessWorkers()
+        A = np.arange(6.0).reshape(6, 1)
+        alone = InProcessWorkers(1)
+        save_matrix(tmp_path / "m.txt", A, workers=alone)
+        assert load_matrix(tmp_path / "m.txt", workers=alone).tobytes() == A.tobytes()
+        (tmp_path / "m.txt").write_bytes(b"2 1\n1.5\n25\n")  # a body of 8 bytes, one span
+        assert load_matrix(tmp_path / "m.txt", workers=workers).tolist() == [[1.5], [25.0]]
+        assert workers.units_run == alone.units_run == 0
+
+    def test_real_workers(self, tmp_path, monkeypatch):
+        # worker interpreters parse and format spans of 4 kB: same bytes and bits, and a file
+        # outside the plain subset still reaches the row loop, in this process
+        monkeypatch.setattr(schirn.data, "_SPAN", 1 << 12)
+        rng = np.random.default_rng(8)
+        A = rng.standard_normal((400, 7)) * 10.0 ** rng.integers(-300, 300, size=(400, 7))
+        Y = (rng.random((900, 9)) < 0.5).astype(float)
+        reference_save_matrix(tmp_path / "a_ref.txt", A)
+        with cv._Workers(2) as workers:
+            save_matrix(tmp_path / "a.txt", A, workers=workers)
+            save_matrix(tmp_path / "y.txt", Y, binary=True, workers=workers)
+            with monkeypatch.context() as mp:  # the workers parse every span, and all of the file
+                mp.setattr(schirn.data, "_parse_span", None)
+                mp.setattr(schirn.data, "_parse_rows", None)
+                assert load_matrix(tmp_path / "a.txt", workers=workers).tobytes() == A.tobytes()
+                assert load_matrix(tmp_path / "y.txt", binary=True, workers=workers).tobytes() == Y.tobytes()
+            (tmp_path / "b.txt").write_bytes((tmp_path / "a.txt").read_bytes().replace(b"e-", b"e-0_", 1))
+            got = outcome(partial(load_matrix, workers=workers), tmp_path / "b.txt", False)
+            assert got == outcome(reference_load_matrix, tmp_path / "b.txt", False) == (A.shape, A.tobytes())
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "a_ref.txt").read_bytes()
+
+
 class TestLoadMatrix:
     def test_basic_binary(self, tmp_path):
         p = tmp_path / "m.txt"
@@ -231,6 +314,7 @@ _SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073
 _SHAPES = hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6)
 
 
+@pytest.mark.usefixtures("span_path")
 class TestWriterBytes:
     """``save_matrix`` writes the same bytes as the per-row writer it replaced."""
 
@@ -274,6 +358,7 @@ _TOKEN = st.one_of(
 )
 
 
+@pytest.mark.usefixtures("span_path")
 class TestTokenLanguage:
     """One token, read by the bulk path or the row loop: the same value or the same error."""
 
@@ -282,6 +367,8 @@ class TestTokenLanguage:
     def test_edge_tokens(self, tmp_path, token, binary):
         p = tmp_path / "m.txt"
         p.write_text(f"1 1\n{token}\n", encoding="utf-8")
+        assert_same_as_reference(p, binary)
+        p.write_text(f"2 1\n0\n{token}\n", encoding="utf-8")  # two lines, so two spans
         assert_same_as_reference(p, binary)
 
     def test_the_language_is_python_float(self, tmp_path):
@@ -299,8 +386,10 @@ class TestTokenLanguage:
         d = tmp_path_factory.mktemp("tok")
         (d / "alone.txt").write_text(f"1 1\n{token}\n", encoding="utf-8")
         (d / "row.txt").write_text(f"1 3\n1 {token} 0\n", encoding="utf-8")
+        (d / "second.txt").write_text(f"2 1\n0\n{token}\n", encoding="utf-8")
         assert_same_as_reference(d / "alone.txt", binary)
         assert_same_as_reference(d / "row.txt", binary)
+        assert_same_as_reference(d / "second.txt", binary)
 
 
 _SEPARATORS = [" ", "\t", "\x0b", "\x0c", "\x1c", "\u2003", "\x85"]
@@ -344,6 +433,7 @@ def matrix_files(draw):
     return text.encode("utf-8"), binary
 
 
+@pytest.mark.usefixtures("span_path")
 class TestFileLayouts:
     """Whole files: bit-identical arrays, or the same error message and line number."""
 
@@ -360,6 +450,9 @@ class TestFileLayouts:
         b"", b"\n", b"1 1", b"1 1\n", b"1 1\n\n", b"1 1\n \n2\n", b"\xef\xbb\xbf1 1\n2\n", b"1 1\n\xff\n",
         b"1 1\n2\x00\n", b"1 1\n2\r\r\n", b"1 1\r2\n", b"2 1\n1\r2\n", b"1 2\n1\x0b2\n", b"1 1\n-\n",
         b"1 1\n1e400\n", b"1\x0b1\n1\n", b"1\x0c1\n1\n", b"1\r1\n1\n", b"2 2\n\n\n", b"1 1\n\n1\n", b"1 1\n\xe2\x80\x832\n", b"99999999999999999999 1\n1\n",
+        # a lone CR starting a line: str.splitlines sees three lines, so both readers must report
+        # the row count
+        b"2 1\n1\n\r2\n", b"2 1\n1\r\n\r2\n",
     ])
     @pytest.mark.parametrize("binary", [False, True])
     def test_edge_files(self, tmp_path, raw, binary):
@@ -413,6 +506,7 @@ class TestCliExitCodes:
             assert err == f"error: {expected.value}\n"
 
 
+@pytest.mark.usefixtures("span_path")
 class TestBulkPath:
     """Files ``save_matrix`` writes never reach the row loop, whose cost the bulk path removes."""
 

@@ -44,13 +44,15 @@ def test_no_module_imports_scipy():
 
 @pytest.mark.parametrize("module", ["schirn", "schirn.cv", "schirn.cli"])
 def test_import_loads_no_subprocess(module):
-    """subprocess and selectors serve only the CV runners, which import them when they
-    start and feed their workers, and numpy.random only the functions that draw; importing
-    the package, the runners or the CLI must pay for none of them."""
+    """subprocess and selectors serve only the worker processes, which import them when they
+    start and feed their workers, numpy.random only the functions that draw, and
+    concurrent.futures (which loads logging; together about 10 ms) only fits that run in row
+    blocks; importing the package, the runners or the CLI must pay for none of them."""
     code = (
         f"import sys, {module}\n"
         "print(sorted(m for m in sys.modules\n"
-        "             if m.split('.')[0] in ('scipy', 'subprocess', 'selectors') or m == 'numpy.random'))"
+        "             if m.split('.')[0] in ('scipy', 'subprocess', 'selectors', 'concurrent', 'logging')\n"
+        "             or m == 'numpy.random'))"
     )
     assert run_fresh(code) == "[]"
 

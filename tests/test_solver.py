@@ -726,14 +726,14 @@ class TestXtProducts:
         errors = []
         update_n, update_lagrange = solver.update_n, solver.update_lagrange
 
-        def spy_n(state, Y, params, Xt=None):
-            N = update_n(state, Y, params, Xt=Xt)
+        def spy_n(state, Y, params, Xt=None, **rows):
+            N = update_n(state, Y, params, Xt=Xt, **rows)
             assert Xt is not None
             flips.append(((N > state.N).any(), (N < state.N).any()))
             return N
 
-        def spy_lagrange(state, X_, params, XW=None, Xt=None):
-            Lam, mu = update_lagrange(state, X_, params, XW=XW, Xt=Xt)
+        def spy_lagrange(state, X_, params, XW=None, Xt=None, **rows):
+            Lam, mu = update_lagrange(state, X_, params, XW=XW, Xt=Xt, **rows)
             for kept, iterate in [(Xt.XtN, state.N), (Xt.XtC, state.C), (Xt.XtLam, Lam),
                                   (Xt.XtXW, X @ state.W), (Xt.XtY, ds.Y)]:
                 direct = X.T @ iterate
@@ -980,3 +980,78 @@ class TestModelSerialization:
         assert loaded.report.iterations_run == model.report.iterations_run
         assert loaded.report.final_rank_XW == model.report.final_rank_XW
         assert loaded.noise is None
+
+
+_BLOCK_ROUTES = pytest.mark.parametrize("shape", [(200, 30, 12), (110, 150, 8), (100, 12, 130), (6000, 40, 50)],
+                                        ids=["primal", "dual-w", "wide-c", "above-the-floor"])
+
+
+class TestRowBlocks:
+    """Row blocks (solver._Rows) change no bit of a fit, whatever their count."""
+
+    @_BLOCK_ROUTES
+    @pytest.mark.parametrize("params", [
+        default_params(alpha=0.5, max_iter=60), default_params(alpha=0.5, tol=1.5),
+        default_params(max_iter=0), default_params(alpha=0.5, max_iter=40, variant=Variant.NO_RANK),
+        default_params(alpha=0.5, max_iter=40, variant=Variant.LOW_RANK, c_shift="derived"),
+    ], ids=["default", "tol", "no-iterations", "no-rank", "low-rank"])
+    def test_every_block_count_gives_the_same_fit(self, shape, params):
+        ds, _ = make_synth(*shape, r=1, seed=0)
+        X, Y = solver._training_arrays(ds)
+        n = shape[0]
+        counts = (1, 2, 3, n)
+        if n > 1000:
+            # blocks of fit's size, a few iterations; 48-row blocks would take OpenBLAS's
+            # small-matrix kernel, which sums in another order than the whole product
+            params = replace(params, max_iter=min(params.max_iter, 4))
+            counts = (1, 2, 3)
+        fits, layouts = [], []
+        for count in counts:
+            with solver._Rows(n, count) as rows:
+                layouts.append([(r.start or 0, r.stop) for r in rows.blocks])
+                fits.append(solver._fit(X, Y, params, True, rows=rows)[0])
+        for model in fits[1:]:
+            assert_same_fit(model, fits[0])
+        if params.max_iter == 60 and n < 1000:
+            assert fits[0].report.first_noise_iter is not None
+        # blocks start at multiples of _ROW_ALIGN and cover the rows in order
+        assert layouts[0] == [(0, None)]
+        for layout in layouts[1:]:
+            assert [a for a, _ in layout] == sorted({a for a, _ in layout})
+            assert all(a % solver._ROW_ALIGN == 0 for a, _ in layout) and layout[-1][1] == n
+            assert all(b == c for (_, b), (c, _) in zip(layout, layout[1:]))
+        assert len(layouts[-1]) == min(counts[-1], -(-n // solver._ROW_ALIGN))
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("n", [40, 150])
+    def test_fit_takes_one_block_per_cpu_above_the_floor(self, monkeypatch, cpus, n):
+        # with the floor at one entry, fit uses min(cpus, n * l) blocks, fewer where n is
+        # below two aligned blocks; the model is the one-CPU model
+        ds, _ = make_synth(n, 6, 5, r=1, seed=2)
+        params = default_params(alpha=0.5, max_iter=30)
+        expected = fit(ds, params)
+        monkeypatch.setattr(solver, "_ROW_FLOOR", 1)
+        monkeypatch.setattr(solver, "_usable_cpus", lambda: cpus)
+        seen = []
+        inner = solver._fit
+        monkeypatch.setattr(solver, "_fit",
+                            lambda *args, rows: seen.append(len(rows.blocks)) or inner(*args, rows=rows))
+        assert_same_fit(fit(ds, params), expected)
+        assert seen == [min(cpus, -(-n // solver._ROW_ALIGN))]
+
+    def test_first_blocks_error_wins_after_every_block_ends(self):
+        ended = []
+        row = np.arange(200)
+
+        def step(out, row):
+            start = int(row[0])
+            ended.append(start)
+            if start in (0, 96):
+                raise ValueError(f"block {start}")
+
+        with solver._Rows(200, 4) as rows:
+            with pytest.raises(ValueError, match="^block 0$"):
+                rows.build(step, (200, 3), row)
+            assert sorted(ended) == [0, 48, 96, 144]
+            out = rows.build(lambda out, row: out.fill(row[0]), (200, 3), row)
+        assert out[:, 0].tolist() == [a // 48 * 48 for a in range(144)] + [144] * 56
