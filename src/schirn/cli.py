@@ -246,7 +246,7 @@ def cmd_fit(v: dict) -> None:
     """The workers parse and are gone before the fit, whose row blocks take the CPUs."""
     params = SchirnParams.from_mapping(v)
     out_dir = _out_dir(v)
-    with _io_workers() as workers:
+    with _io_workers(v["features"], v["labels"], v["truth"]) as workers:
         ds = _load_experiment_dataset(v, workers)
     model = fit(ds, params)
     save_model(model, out_dir)
@@ -268,7 +268,7 @@ def cmd_fit(v: dict) -> None:
 def cmd_predict(v: dict) -> None:
     """The same workers parse the features and format the scores."""
     out_dir = _out_dir(v)
-    with _io_workers() as workers:
+    with _io_workers(v["features"]) as workers:
         model = load_model(v["model"])
         X = load_matrix(v["features"], workers=workers)
         if v["standardize"]:

@@ -7,7 +7,8 @@ the next unit as it frees up; the outputs depend on none of this. A worker
 imports this module and what it needs, never the CLI. The same workers
 serve any job with units (the matrix text spans of schirn.data too), and a
 worker may serve several jobs in its life: fit and predict start one per
-usable CPU for their matrix text I/O alone.
+usable CPU for their matrix text I/O alone, when an input file is large
+enough to be parsed in spans.
 """
 
 import os
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, FoldSplit, kfold_split
+from .data import _SPAN, Dataset, FoldSplit, kfold_split
 from .metrics import evaluate_all
 from .solver import SchirnParams, Variant, _usable_cpus, binarize, fit_chain, predict_scores, prefix_chains
 
@@ -127,11 +128,15 @@ def _worker_count(units: int) -> int:
     return min(units, _usable_cpus())
 
 
-def _io_workers() -> "_Workers":
-    """Workers for a command's matrix text I/O: one per usable CPU, or none on one CPU, where a
-    lone worker would parse no faster than the command's own process, which waits for it."""
+def _io_workers(*paths) -> "_Workers":
+    """Workers for a command's matrix text I/O: one per usable CPU when one of the input ``paths``
+    (None for an absent one) is a file of two spans or more, else none. A smaller file is parsed
+    in less time than the workers take to start, and on one CPU a lone worker would parse no
+    faster than the command's own process, which waits for it."""
     cpus = _usable_cpus()
-    return _Workers(cpus if cpus > 1 else 0)
+    large = any(path is not None and os.path.isfile(path) and os.path.getsize(path) >= 2 * _SPAN
+                for path in paths)
+    return _Workers(cpus if cpus > 1 and large else 0)
 
 
 class _Workers:
@@ -146,10 +151,12 @@ class _Workers:
     """
 
     def __init__(self, count: int):
+        self.procs = []
+        if not count:  # fit and predict on small inputs: no subprocess import either
+            return
         import subprocess  # here, not at module level, so that importing schirn.cv stays cheap
 
         env = _worker_env()
-        self.procs = []
         try:
             for _ in range(count):
                 self.procs.append(subprocess.Popen([sys.executable, "-c", _WORKER], env=env,

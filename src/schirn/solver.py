@@ -83,10 +83,12 @@ the X^T products, change_noise, the wide C step M G and every reduction
 entry from the same operands whatever the blocks. The products X W and
 G M keep their bits too, as long as blocks start at multiples of
 _ROW_ALIGN rows and are not so small that BLAS computes them with other
-kernels than the whole product (see _ROW_ALIGN and _ROW_FLOOR). So W, N
+kernels than the whole product (see _ROW_ALIGN and _SMALL_GEMM). So W, N
 and both traces are bit-identical to one block, which is the serial loop.
-fit uses one block per usable CPU when every block holds at least
-_ROW_FLOOR entries of the n x l iterates; fit_chain always uses one,
+fit uses up to one block per usable CPU, as long as every block holds at
+least _ROW_FLOOR entries of the n x l iterates and more than _SMALL_GEMM
+multiply-adds in each product, and one when BLAS runs on more than one
+thread, whose products already take the CPUs; fit_chain always uses one,
 because its callers already run one fit per CPU.
 
 Ablation variants: "high-rank" is the full method; "no-rank" drops the
@@ -131,11 +133,13 @@ C_SHIFT_CONVENTIONS = ("paper", "derived")
 TRACE_LEVELS = ("none", "residual")
 # C step: Gram eigenvalues below this fraction of the largest take sigma from ||G v||
 _WEAK_EIG = 1e-4
-# the fewest n x l entries in a row block of fit. Below it a thread hand-off costs more than the
-# block's share of an iteration, and a block's X W or G M (with more than 7 columns) could fall to
-# OpenBLAS's small-matrix kernel (up to 1e6 multiply-adds on SkylakeX) while the whole product
-# does not, which sums in another order.
+# the fewest n x l entries in a row block of fit: below it a thread hand-off costs more than the
+# block's share of an iteration
 _ROW_FLOOR = 1 << 17
+# the most multiply-adds of a product that OpenBLAS may compute with its small-matrix kernel
+# (SkylakeX), which sums in another order; each block of fit's X W (rows d l) and G M (rows l l)
+# does more, so it runs on the kernel of the whole product
+_SMALL_GEMM = 10**6
 # row blocks start at multiples of this many rows. OpenBLAS computes a product's rows in groups
 # whose edge kernels sum in another order, so a block that starts inside a group can change the
 # last bits of X W and G M; on SkylakeX only starts at multiples of 24 kept every bit.
@@ -372,6 +376,37 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+def _row_cuts(n: int, count: int) -> list[int]:
+    """Where _Rows(n, count) starts its blocks after the first."""
+    return sorted({n * i // count // _ROW_ALIGN * _ROW_ALIGN for i in range(1, count)} - {0})
+
+
+def _blas_threads() -> int:
+    """The threads of numpy's OpenBLAS as it reads them when it loads: the first positive
+    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS, at most one per usable CPU."""
+    cpus = _usable_cpus()
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return min(int(value), cpus)
+    return cpus
+
+
+def _fit_block_count(n: int, d: int, l: int) -> int:
+    """fit's row blocks: the most, up to one per usable CPU, whose smallest block holds at least
+    _ROW_FLOOR entries of the n x l iterates and more than _SMALL_GEMM multiply-adds in X W and
+    G M; one if no count of two or more does, or if BLAS runs on more than one thread, as its
+    products then already take every CPU (and blocks measured slower there)."""
+    if _blas_threads() > 1:
+        return 1
+    for count in range(min(_usable_cpus(), n), 1, -1):
+        bounds = [0, *_row_cuts(n, count), n]
+        least = min(b - a for a, b in zip(bounds, bounds[1:]))
+        if least * l >= _ROW_FLOOR and least * l * min(d, l) > _SMALL_GEMM:
+            return count
+    return 1
+
+
 class _Rows:
     """Blocks of rows of the n x l iterates, and the threads that run them.
 
@@ -382,7 +417,7 @@ class _Rows:
     """
 
     def __init__(self, n: int = 0, count: int = 1):
-        cuts = sorted({n * i // count // _ROW_ALIGN * _ROW_ALIGN for i in range(1, count)} - {0})
+        cuts = _row_cuts(n, count)
         self.blocks = [slice(a, b) for a, b in zip([0, *cuts], [*cuts, n])] if cuts else [slice(None)]
         self._pool = None
         if cuts:
@@ -646,8 +681,8 @@ def fit(ds, params: SchirnParams, trace: str = "residual") -> Model:
     if trace not in TRACE_LEVELS:
         raise ValueError(f"trace must be one of {TRACE_LEVELS}, got {trace!r}")
     X, Y = _training_arrays(ds)
-    n, l = Y.shape
-    with _Rows(n, max(1, min(_usable_cpus(), n * l // _ROW_FLOOR))) as rows:
+    n, d = X.shape
+    with _Rows(n, _fit_block_count(n, d, Y.shape[1])) as rows:
         return _fit(X, Y, params, trace == "residual", rows=rows)[0]
 
 

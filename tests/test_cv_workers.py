@@ -268,6 +268,28 @@ class TestWorkerLifetime:
             runner(ds, SchirnParams(max_iter=10), folds, 0)
         assert [len(started) for started in seen] == [workers]
 
+    @pytest.mark.parametrize("span, workers", [(1 << 22, 0), (64, 2)], ids=["small-inputs", "span-sized-inputs"])
+    def test_fit_and_predict_start_workers_only_for_span_sized_inputs(self, tmp_path, synth_files, monkeypatch,
+                                                                      span, workers):
+        # the synth files are about 1-10 kB: below two 4 MB spans no worker starts, above
+        # two 64-byte spans one per usable CPU does
+        simulate_cpus(monkeypatch, 2)
+        monkeypatch.setattr(cv, "_SPAN", span)
+        counts = []
+
+        class Counted(cv._Workers):
+            def __init__(self, count):
+                counts.append(count)
+                super().__init__(count)
+
+        monkeypatch.setattr(cv, "_Workers", Counted)
+        features = synth_files[1][1]
+        with leaves_no_process():
+            assert main(["fit", *synth_files[1], "--max-iter", "5", "--out", str(tmp_path / "model")]) == 0
+            assert main(["predict", "--model", str(tmp_path / "model"), "--features", features,
+                         "--out", str(tmp_path / "pred")]) == 0
+        assert counts == [workers, workers]
+
     def test_fold_error_keeps_its_type_and_exit_code(self, tmp_path, synth_files, capsys):
         ds, _ = synth_files
         # finite features whose X^T X overflows, so every fit rejects its Gram matrix

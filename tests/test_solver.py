@@ -1025,19 +1025,69 @@ class TestRowBlocks:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("n", [40, 150])
     def test_fit_takes_one_block_per_cpu_above_the_floor(self, monkeypatch, cpus, n):
-        # with the floor at one entry, fit uses min(cpus, n * l) blocks, fewer where n is
-        # below two aligned blocks; the model is the one-CPU model
+        # with both floors at nothing and BLAS on one thread, fit uses min(cpus, n * l) blocks,
+        # fewer where n is below two aligned blocks; the model is the one-CPU model
         ds, _ = make_synth(n, 6, 5, r=1, seed=2)
         params = default_params(alpha=0.5, max_iter=30)
         expected = fit(ds, params)
         monkeypatch.setattr(solver, "_ROW_FLOOR", 1)
+        monkeypatch.setattr(solver, "_SMALL_GEMM", 0)
         monkeypatch.setattr(solver, "_usable_cpus", lambda: cpus)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         seen = []
         inner = solver._fit
         monkeypatch.setattr(solver, "_fit",
                             lambda *args, rows: seen.append(len(rows.blocks)) or inner(*args, rows=rows))
         assert_same_fit(fit(ds, params), expected)
         assert seen == [min(cpus, -(-n // solver._ROW_ALIGN))]
+
+    @pytest.mark.parametrize("n, d, l, blocks", [
+        (10000, 300, 50, 2),  # fit-tall
+        (2000, 100, 20, 1),  # ablate-mid: below the entry floor
+        (30000, 5, 10, 1),  # above the entry floor, but each block's X W is 748,800 multiply-adds
+        # d, l <= 7 at the two-block boundary: blocks start at multiples of 48 rows, so the first
+        # block of 57,215 rows has 28,560, whose X W is 999,600 multiply-adds; of 57,216, 28,608
+        (57215, 5, 7, 1), (57216, 5, 7, 2),
+        (80063, 7, 5, 1), (80064, 7, 5, 2),  # the same for G M (rows l l)
+        # the first block of 32,831 rows holds 16,368 x 8 = 130,944 entries, 128 under 2^17
+        (32831, 100, 8, 1), (32832, 100, 8, 2),
+    ])
+    def test_blocks_clear_both_floors_after_alignment(self, monkeypatch, n, d, l, blocks):
+        monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert solver._fit_block_count(n, d, l) == blocks
+
+    @pytest.mark.parametrize("shape", [(57216, 5, 7), (80064, 7, 5)], ids=["x-w", "g-m"])
+    def test_blocks_at_the_small_kernel_boundary_give_the_same_fit(self, shape):
+        # both products of each of the two blocks only just do more than _SMALL_GEMM multiply-adds
+        n, d, l = shape
+        ds, _ = make_synth(n, d, l, r=1, seed=4)
+        X, Y = solver._training_arrays(ds)
+        params = default_params(alpha=0.5, max_iter=3)
+        fits = []
+        for count in (1, 2):
+            with solver._Rows(n, count) as rows:
+                sizes = [(r.stop or n) - (r.start or 0) for r in rows.blocks]
+                fits.append(solver._fit(X, Y, params, True, rows=rows)[0])
+        assert len(sizes) == 2 and solver._SMALL_GEMM < min(sizes) * l * min(d, l) < 1.01 * solver._SMALL_GEMM
+        assert_same_fit(fits[1], fits[0])
+
+    @pytest.mark.parametrize("env, cpus, threads", [
+        ({}, 2, 2), ({"OPENBLAS_NUM_THREADS": "1"}, 2, 1), ({"OMP_NUM_THREADS": "1"}, 4, 1),
+        ({"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 4, 3), ({"GOTO_NUM_THREADS": "8"}, 4, 4),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 1), ({"OMP_NUM_THREADS": "x"}, 2, 2),
+    ])
+    def test_blas_threads_follow_openblas_start_up(self, monkeypatch, env, cpus, threads):
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(solver, "_usable_cpus", lambda: cpus)
+        assert solver._blas_threads() == threads
+        # a multi-threaded BLAS already spreads X W and G M over the CPUs, so fit-tall's fit
+        # takes one block; on one BLAS thread 2 (2 CPUs) or 3 (4 CPUs: 2,496-row blocks hold
+        # under 2^17 entries)
+        assert solver._fit_block_count(10000, 300, 50) == ({2: 2, 4: 3}[cpus] if threads == 1 else 1)
 
     def test_first_blocks_error_wins_after_every_block_ends(self):
         ended = []
