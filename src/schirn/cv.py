@@ -8,7 +8,7 @@ imports this module and what it needs, never the CLI. The same workers
 serve any job with units (the matrix text spans of schirn.data too), and a
 worker may serve several jobs in its life: fit and predict start one per
 usable CPU for their matrix text I/O alone, when an input file is large
-enough to be parsed in spans.
+enough for its spans to go to workers.
 """
 
 import os

@@ -10,29 +10,30 @@ pair plus an optional ground-truth labels file.
 
 ``load_matrix`` parses a plain file (ASCII digits, signs, points, exponents,
 spaces, tabs, LF or CRLF; every file ``save_matrix`` writes) in bulk with
-numpy. It reads the bytes once, in blocks of whole lines that it checks
-before numpy sees them, so it never holds more than a block of the text.
+numpy. It reads the bytes once, a span of whole lines at a time that it
+checks before numpy sees it, so it never holds more than a span of the text.
 Any other file goes to the row loop, one ``float`` per token. The loop
 stays because it states the full language above (``1_000``, non-ASCII
 digits, a form feed as a line break) and because it is the only error
 reporter, so a malformed file gets the same message and line number
 whichever path saw it first.
 
-Spans. Given a command's worker processes (``cv._Workers``), two or more,
-``load_matrix`` cuts the body of a file of at least two spans (``_SPAN``
-bytes each) into spans of whole lines, which the workers check and parse
-by the rules above; ``save_matrix`` formats a float matrix whose text may
-reach two spans in spans of rows. The in-process path is one span. Each
+Spans. ``load_matrix`` cuts the body of a file into spans of whole lines,
+each of at most ``_SPAN`` bytes plus the rest of its last line, and
+``save_matrix`` formats a float matrix in spans of rows whose text stays
+within ``_SPAN`` bytes. Given a command's worker processes
+(``cv._Workers``), two or more, and text of two spans or more, the workers
+run the spans; otherwise the command's process runs them in order. Each
 span's array is the one numpy gives for those lines alone, so the result
 is bit-identical, and a file outside the plain subset still goes to the
 row loop whole, whatever span showed it.
 """
 
 import io
-import itertools
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,7 +80,6 @@ class Dataset:
     X: np.ndarray
     Y: np.ndarray
     Y_true: np.ndarray | None = None
-    names: list[str] | None = None
 
     def __post_init__(self):
         self.X = as_matrix(self.X, "X")
@@ -96,8 +96,6 @@ class Dataset:
                 )
             if np.any(self.Y_true > self.Y):
                 raise ValueError("Y_true must satisfy Y_true <= Y elementwise")
-        if self.names is not None and len(self.names) != self.Y.shape[1]:
-            raise ValueError("names length must equal the label count")
 
     @property
     def n(self) -> int:
@@ -154,9 +152,8 @@ def load_matrix(path, *, binary: bool = False, workers=None) -> np.ndarray:
     return out
 
 
-_BLOCK = 1 << 20  # bytes of text the span parser holds at a time
-# the most bytes of text in a span of a file or a matrix. Below two spans a file is parsed in the
-# command's process: a worker takes about 0.2 s to start, in which the parent parses 9-14 MB.
+# the most bytes of text in a span of a file or a matrix. Below two spans the command's process
+# runs the spans: a worker takes about 0.2 s to start, in which the parent parses 9-14 MB.
 _SPAN = 1 << 22
 _FLOAT_TEXT = 25  # the most bytes a float takes in save_matrix's text: "-2.2250738585072014e-308" and a separator
 _BLANK = b" \t\r\n"
@@ -170,13 +167,20 @@ class _NotPlain(ValueError):
     """A span of the file is outside the plain subset."""
 
 
-def _span_count(size: int, workers) -> int:
-    """How many spans ``size`` bytes of text are cut into: one, or, with two workers or more and
-    ``size`` of two spans or more, a multiple of the worker count of spans of at most _SPAN bytes."""
+def _spans(size: int, workers) -> tuple:
+    """(count, run): how many spans ``size`` bytes of text are cut into, and what runs a job of
+    them. With two workers or more and ``size`` of two spans or more, the workers run a multiple
+    of their count of spans of at most _SPAN bytes; otherwise the command's process runs spans of
+    at most _SPAN bytes in order, one at a time."""
     count = len(workers) if workers is not None else 0
     if count < 2 or size < 2 * _SPAN:
-        return 1
-    return count * -(-size // (count * _SPAN))
+        return -(-size // _SPAN), _in_order
+    return count * -(-size // (count * _SPAN)), workers.run
+
+
+def _in_order(job):
+    """``job.run_unit`` of each unit in order, in this process, each as the caller reaches it."""
+    return map(job.run_unit, job.units)
 
 
 def _parse_plain(path: Path, binary: bool, workers) -> np.ndarray | None:
@@ -197,94 +201,81 @@ def _parse_plain(path: Path, binary: bool, workers) -> np.ndarray | None:
                 or header.count(b"\r") != header.count(b"\r\n")):
             return None
         rows, cols = int(tokens[0]), int(tokens[1])
-        cuts = _line_cuts(fh, workers)
-        try:
-            if len(cuts) == 2:
-                spans = [_parse_span(fh, cuts[1], binary)]
-            else:
-                spans = workers.run(_SpanParse(str(path), binary, cuts))
-        except _NotPlain:
+        start = fh.tell()
+        end = fh.seek(0, os.SEEK_END)
+        # every value takes a byte or more, so a larger header is the row loop's error, not an allocation
+        if not 0 < rows * cols <= end - start:
             return None
-    parts = []
+        count, run = _spans(end - start, workers)
+        cuts = _line_cuts(fh, start, end, count)
+    body = np.empty((rows, cols)) if len(cuts) > 2 else None  # a lone span's array is the result
+    done = 0  # rows filled
     filled = 0  # body lines up to the last one that is not blank
     seen = 0  # line feeds in the spans before this one
-    for part, span_filled, span_lines in spans:
-        if part is not None:
-            if part.shape[1] != cols:
-                return None
-            parts.append(part)
-        if span_filled:
-            filled = seen + span_filled
-        seen += span_lines
-    if not parts or filled != rows or sum(len(part) for part in parts) != rows:
+    try:
+        for part, span_filled, span_lines in run(_SpanParse(str(path), binary, cuts)):
+            if part is not None:
+                if part.shape[1] != cols or done + len(part) > rows:
+                    return None
+                if body is None:
+                    body = part
+                else:
+                    body[done:done + len(part)] = part
+                done += len(part)
+            del part  # so that a run in this process holds one span's array at a time
+            if span_filled:
+                filled = seen + span_filled
+            seen += span_lines
+    except _NotPlain:
         return None
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return body if done == filled == rows else None
 
 
-def _line_cuts(fh, workers) -> list[int]:
-    """Offsets that cut the body, from fh's position to the end of the file, into spans of whole
-    lines (_span_count of them, or fewer where lines are long), the first and the last included."""
-    start = fh.tell()
-    end = fh.seek(0, os.SEEK_END)
-    count = _span_count(end - start, workers)
+def _line_cuts(fh, start: int, end: int, count: int) -> list[int]:
+    """Offsets that cut bytes ``start`` (a line start) to ``end`` (the end) of the file into
+    ``count`` spans of whole lines, or fewer where lines are long, the first and the last included."""
     cuts = [start]
     for i in range(1, count):
         fh.seek(start + (end - start) * i // count - 1)
         fh.readline()  # to the start of the next line
         if cuts[-1] < fh.tell() < end:
             cuts.append(fh.tell())
-    fh.seek(start)
     return [*cuts, end]
 
 
-def _parse_span(fh, stop: int, binary: bool) -> tuple:
-    """Parse the body lines from fh's position up to byte ``stop``, a line start or the end of the file.
+def _parse_span(path: str, start: int, stop: int, binary: bool) -> tuple:
+    """Parse the body lines from byte ``start`` to byte ``stop``, each a line start or the file's end.
 
     Returns (array, filled, lines): ``array`` is numpy's, or None when every line is blank,
     ``filled`` counts the lines up to the last one that is not blank and ``lines`` the line
-    feeds. Raises _NotPlain when the span is outside the plain subset (see _parse_plain) or
-    has a blank line before a data line.
+    feeds; numpy skips blank lines, so ``filled`` is the array's length only when no blank line
+    comes before a data line. Raises _NotPlain when the span is outside the plain subset (see
+    _parse_plain).
     """
-    allowed = _LABEL_BYTES if binary else _FLOAT_BYTES
-    filled = seen = 0
-
-    def body_lines():
-        nonlocal filled, seen
-        while (left := stop - fh.tell()) > 0:
-            block = fh.read(min(_BLOCK, left))
-            if fh.tell() < stop:
-                block += fh.readline()  # the rest of the last line, which ends by ``stop``
-            if (block.translate(None, allowed)
-                    or b"\r" in block and block.count(b"\r") != block.count(b"\r\n")
-                    or binary and any(pair in block for pair in _LABEL_PAIRS)):
-                raise _NotPlain
-            text = block.rstrip(_BLANK)
-            if text:
-                filled = seen + text.count(b"\n") + 1
-            seen += block.count(b"\n")
-            yield from io.BytesIO(block)
-
-    lines = body_lines()
-    # a data line comes first, so numpy never sees an empty input
-    first = next(lines, b"")
-    if not first.strip():
-        for _ in lines:  # checks and counts the rest, which must be blank
-            pass
-        if filled:
-            raise _NotPlain
-        return None, 0, seen
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        text = fh.read(stop - start)
+    if (text.translate(None, _LABEL_BYTES if binary else _FLOAT_BYTES)
+            or b"\r" in text and text.count(b"\r") != text.count(b"\r\n")
+            or binary and any(pair in text for pair in _LABEL_PAIRS)):
+        raise _NotPlain
+    lines = text.count(b"\n")
+    if text.isspace():  # numpy warns on an empty input
+        return None, 0, lines
+    # numpy takes no token without a digit, so the last digit is on the last line that is not blank
+    filled = text.count(b"\n", 0, max(map(text.rfind, b"0123456789"))) + 1
     try:
-        out = np.loadtxt(itertools.chain([first], lines), comments=None, ndmin=2)
+        out = np.loadtxt(io.BytesIO(text), comments=None, ndmin=2)
     except ValueError:  # numpy's parse errors
         raise _NotPlain from None
+    del text  # before the finiteness check's temporary
     if not np.isfinite(out).all():
         raise _NotPlain
-    return out, filled, seen
+    return out, filled, lines
 
 
-@dataclass(frozen=True)
-class _SpanParse:
-    """A worker job (cv._Workers.run): _parse_span of each span between consecutive ``cuts``."""
+class _SpanParse(NamedTuple):
+    """A job (cv._Workers.run or _in_order): _parse_span of each span between consecutive ``cuts``."""
 
     path: str
     binary: bool
@@ -295,9 +286,7 @@ class _SpanParse:
         return range(len(self.cuts) - 1)
 
     def run_unit(self, unit: int) -> tuple:
-        with open(self.path, "rb") as fh:
-            fh.seek(self.cuts[unit])
-            return _parse_span(fh, self.cuts[unit + 1], self.binary)
+        return _parse_span(self.path, self.cuts[unit], self.cuts[unit + 1], self.binary)
 
 
 def _parse_rows(path: Path, lines: list[str], binary: bool) -> np.ndarray:
@@ -368,8 +357,8 @@ def save_matrix(path, a, *, binary: bool = False, workers=None) -> None:
         cells[:, -1] = ord("\n")
         spans = [cells.tobytes()]
     else:
-        count = min(A.shape[0], _span_count(A.size * _FLOAT_TEXT, workers))
-        spans = [_format_rows(A)] if count == 1 else workers.run(_RowFormat(A, count))
+        count, run = _spans(A.size * _FLOAT_TEXT, workers)
+        spans = run(_RowFormat(A, min(A.shape[0], count)))
     with open(path, "wb") as fh:
         fh.write(f"{A.shape[0]} {A.shape[1]}\n".encode("ascii"))
         fh.writelines(spans)
@@ -379,20 +368,19 @@ def _format_rows(A: np.ndarray) -> bytes:
     return "".join([" ".join(map(repr, row)) + "\n" for row in A.tolist()]).encode("ascii")
 
 
-@dataclass(frozen=True)
-class _RowFormat:
-    """A worker job (cv._Workers.run): _format_rows of each of ``count`` near-equal spans of A's rows."""
+class _RowFormat(NamedTuple):
+    """A job (cv._Workers.run or _in_order): _format_rows of each of ``spans`` near-equal spans of A's rows."""
 
     A: np.ndarray
-    count: int
+    spans: int
 
     @property
     def units(self) -> range:
-        return range(self.count)
+        return range(self.spans)
 
     def run_unit(self, unit: int) -> bytes:
         rows = self.A.shape[0]
-        return _format_rows(self.A[rows * unit // self.count:rows * (unit + 1) // self.count])
+        return _format_rows(self.A[rows * unit // self.spans:rows * (unit + 1) // self.spans])
 
 
 def load_dataset(
@@ -413,7 +401,7 @@ def load_dataset(
     if filter_empty_truth:
         ds = drop_empty_truth(ds)
     if standardize_features:
-        ds = Dataset(X=standardize(ds.X), Y=ds.Y, Y_true=ds.Y_true, names=ds.names)
+        ds = Dataset(X=standardize(ds.X), Y=ds.Y, Y_true=ds.Y_true)
     return ds
 
 
@@ -424,7 +412,7 @@ def drop_empty_truth(ds: Dataset) -> Dataset:
     keep = ds.Y_true.sum(axis=1) > 0
     if not np.any(keep):
         raise ValueError("every sample has empty ground truth; nothing left")
-    return Dataset(X=ds.X[keep], Y=ds.Y[keep], Y_true=ds.Y_true[keep], names=ds.names)
+    return Dataset(X=ds.X[keep], Y=ds.Y[keep], Y_true=ds.Y_true[keep])
 
 
 def inject_noise(truth, spec: NoiseSpec) -> np.ndarray:

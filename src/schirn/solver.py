@@ -266,7 +266,10 @@ class XtProducts:
 
     @classmethod
     def start(cls, X: np.ndarray, Y: np.ndarray, state: SolverState) -> "XtProducts":
-        return cls(X=X, XtY=X.T @ Y, XtN=X.T @ state.N, XtC=X.T @ state.C, XtLam=X.T @ state.Lam)
+        """The products at _initial_state, where N = 0 and C = Lam; every step rebinds them, none
+        writes into them, so XtLam may be XtC."""
+        XtC = X.T @ state.C
+        return cls(X=X, XtY=X.T @ Y, XtN=np.zeros_like(XtC), XtC=XtC, XtLam=XtC)
 
     def change_noise(self, N_new: np.ndarray, N_old: np.ndarray) -> None:
         """X^T N + X^T (N_new - N_old), over the rows where N changed, as a new X^T N."""

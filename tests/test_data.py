@@ -163,15 +163,15 @@ class TestSpans:
         monkeypatch.setattr(schirn.data, "_SPAN", 1)
         p = tmp_path / "m.txt"
         p.write_bytes(b"3 2\n1 2\r\n\t3 4\n\n5e-1 6  \n \n")
+        count, _ = schirn.data._spans(22, None)  # the body is bytes 4 to 26
         with open(p, "rb") as fh:
-            fh.readline()
-            cuts = schirn.data._line_cuts(fh, InProcessWorkers())
+            cuts = schirn.data._line_cuts(fh, 4, 26, count)
         assert cuts == [4, 9, 14, 15, 24, 26]
         workers = InProcessWorkers()
         save_matrix(p, np.arange(12.0).reshape(4, 3), workers=workers)
         assert workers.units_run == 4
 
-    def test_no_span_below_two_workers_or_two_spans(self, tmp_path, monkeypatch):
+    def test_no_worker_below_two_workers_or_two_spans(self, tmp_path, monkeypatch):
         monkeypatch.setattr(schirn.data, "_SPAN", 8)
         workers = InProcessWorkers()
         A = np.arange(6.0).reshape(6, 1)
@@ -181,6 +181,40 @@ class TestSpans:
         (tmp_path / "m.txt").write_bytes(b"2 1\n1.5\n25\n")  # a body of 8 bytes, one span
         assert load_matrix(tmp_path / "m.txt", workers=workers).tolist() == [[1.5], [25.0]]
         assert workers.units_run == alone.units_run == 0
+
+    @pytest.mark.parametrize("workers", [None, InProcessWorkers()], ids=["in-process", "workers"])
+    def test_no_read_exceeds_a_span_and_a_line(self, tmp_path, monkeypatch, workers):
+        monkeypatch.setattr(schirn.data, "_SPAN", 1 << 10)
+        A = np.random.default_rng(3).standard_normal((300, 7))
+        p = tmp_path / "m.txt"
+        save_matrix(p, A)
+        longest = max(map(len, p.read_bytes().splitlines(keepends=True)))
+        reads = []
+
+        class ReadSpy:
+            def __init__(self, *args, **kwargs):
+                self.fh = open(*args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.fh.close()
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def read(self, *args):
+                reads.append(len(out := self.fh.read(*args)))
+                return out
+
+            def readline(self, *args):
+                reads.append(len(out := self.fh.readline(*args)))
+                return out
+
+        monkeypatch.setattr(schirn.data, "open", ReadSpy, raising=False)
+        assert load_matrix(p, workers=workers).tobytes() == A.tobytes()
+        assert len(reads) > 40 and max(reads) <= (1 << 10) + longest
 
     def test_real_workers(self, tmp_path, monkeypatch):
         # worker interpreters parse and format spans of 4 kB: same bytes and bits, and a file
@@ -399,8 +433,10 @@ _HEADERS = ["{r} {c}", "{r}\t{c}", "  {r}  {c} ", "0{r} {c}", "{r} {c} 1", "{r},
 
 @st.composite
 def matrix_files(draw):
-    """(file bytes, binary): a small matrix in one of many layouts, most of them plain."""
+    """(file bytes, binary): a small matrix in one of many layouts, three in four of them plain."""
     binary = draw(st.booleans())
+    if draw(st.integers(0, 3)):
+        return draw(plain_files(binary)), binary
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     if binary:
         cell = st.sampled_from(["0", "1"])
@@ -433,17 +469,41 @@ def matrix_files(draw):
     return text.encode("utf-8"), binary
 
 
+@st.composite
+def plain_files(draw, binary):
+    """The bytes of a plain file (see schirn.data._parse_plain) of two distinct rows or more:
+    ``repr`` floats or 0/1 labels, spaces and tabs, LF or CRLF line ends."""
+    rows, cols = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    cell = st.sampled_from(["0", "1"]) if binary else st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    row = st.lists(cell, min_size=cols, max_size=cols).map(tuple)
+    body = draw(st.lists(row, min_size=rows, max_size=rows).filter(lambda body: len(set(body)) > 1))
+    space = st.text(alphabet=" \t", min_size=1, max_size=2)
+    margin = st.sampled_from(["", "", " ", "\t"])
+    ending = st.sampled_from(["\n", "\r\n"])
+    lines = [f"{rows}{draw(space)}{cols}{draw(ending)}"]
+    for tokens in body:
+        line = draw(margin) + tokens[0]
+        for tok in tokens[1:]:
+            line += draw(space) + tok
+        lines.append(line + draw(margin) + draw(ending))
+    lines += draw(st.lists(st.tuples(st.text(alphabet=" \t", max_size=2), ending).map("".join), max_size=2))
+    text = "".join(lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text.encode("ascii")
+
+
 @pytest.mark.usefixtures("span_path")
 class TestFileLayouts:
     """Whole files: bit-identical arrays, or the same error message and line number."""
 
     @settings(max_examples=300, deadline=None)
-    @given(case=matrix_files(), block=st.sampled_from([1, 7, 64, schirn.data._BLOCK]))
-    def test_same_outcome_as_the_row_loop(self, case, block, tmp_path_factory):
+    @given(case=matrix_files(), span=st.sampled_from([1, 7, 64, schirn.data._SPAN]))
+    def test_same_outcome_as_the_row_loop(self, case, span, tmp_path_factory):
         raw, binary = case
         p = tmp_path_factory.mktemp("layout") / "m.txt"
         p.write_bytes(raw)
-        with mock.patch.object(schirn.data, "_BLOCK", block):
+        with mock.patch.object(schirn.data, "_SPAN", span):
             assert_same_as_reference(p, binary)
 
     @pytest.mark.parametrize("raw", [
@@ -517,12 +577,12 @@ class TestBulkPath:
 
         monkeypatch.setattr(schirn.data, "_parse_rows", fail)
 
-    @pytest.mark.parametrize("block", [16, schirn.data._BLOCK])
+    @pytest.mark.parametrize("span", [16, schirn.data._SPAN])
     @pytest.mark.parametrize("layout", ["as_written", "crlf", "no_final_newline", "trailing_blank_lines"])
     @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (13, 5), (12, 11)])
     @pytest.mark.parametrize("binary", [False, True])
-    def test_saved_files_skip_the_row_loop(self, tmp_path, monkeypatch, no_row_loop, binary, shape, layout, block):
-        monkeypatch.setattr(schirn.data, "_BLOCK", block)
+    def test_saved_files_skip_the_row_loop(self, tmp_path, monkeypatch, no_row_loop, binary, shape, layout, span):
+        monkeypatch.setattr(schirn.data, "_SPAN", span)
         rng = np.random.default_rng(shape[0] * 100 + shape[1])
         if binary:
             A = (rng.random(shape) < 0.5).astype(float)
@@ -585,12 +645,6 @@ class TestDataset:
         # the third sample drops first, so its outlier never enters the stats
         assert ds.n == 2
         assert np.allclose(ds.X, [[-1.0, 0.0], [1.0, 0.0]])
-
-    def test_names_length_validated(self):
-        with pytest.raises(ValueError, match="names"):
-            Dataset(X=np.ones((1, 2)), Y=np.ones((1, 3)), names=["a", "b"])
-        ds = Dataset(X=np.ones((1, 2)), Y=np.ones((1, 3)), names=["a", "b", "c"])
-        assert ds.names == ["a", "b", "c"]
 
     def test_drop_empty_truth(self):
         ds = Dataset(

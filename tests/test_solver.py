@@ -747,6 +747,20 @@ class TestXtProducts:
         assert sum(lost for _, lost in flips) >= 2
         assert max(errors) <= 1e-12
 
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_start_equals_the_products_of_the_iterates(self, monkeypatch, variant):
+        # start takes X^T N = 0 and X^T Lam = X^T C from the initial iterates instead of
+        # multiplying them out; the fit is the same, bit for bit
+        ds, _ = make_synth(60, 10, 8, r=1, seed=1)
+        params = default_params(alpha=0.5, beta=0.5, lam=10.0, variant=variant)
+        model = fit(ds, params)
+
+        def direct(X, Y, state):
+            return solver.XtProducts(X=X, XtY=X.T @ Y, XtN=X.T @ state.N, XtC=X.T @ state.C, XtLam=X.T @ state.Lam)
+
+        monkeypatch.setattr(solver.XtProducts, "start", direct)
+        assert_same_fit(model, fit(ds, params))
+
 
 class TestTraceLevels:
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
