@@ -137,9 +137,10 @@ def _resolve(args) -> dict:
 def _load_experiment_dataset(v: dict, workers=None) -> Dataset:
     """Assemble the working dataset; with r > 0 candidates are generated from truth. ``workers``
     (cv._Workers) parse large files in spans."""
+    noise = NoiseSpec(r=v["r"], seed=v["seed"])  # checks r >= 0
     if v["features"] is None:
         raise ValueError("a features file is required (--features)")
-    if v["r"] <= 0:
+    if noise.r == 0:
         if v["labels"] is None:
             raise ValueError("a candidate-labels file is required (--labels) when r = 0")
         return load_dataset(v["features"], v["labels"], v["truth"], standardize_features=v["standardize"],
@@ -153,7 +154,7 @@ def _load_experiment_dataset(v: dict, workers=None) -> Dataset:
     ds = Dataset(X=X, Y=Y_true.copy(), Y_true=Y_true)
     if v["filter_empty_truth"]:
         ds = drop_empty_truth(ds)
-    Y = inject_noise(ds.Y_true, NoiseSpec(r=v["r"], seed=v["seed"]))
+    Y = inject_noise(ds.Y_true, noise)
     X = standardize(ds.X) if v["standardize"] else ds.X
     return Dataset(X=X, Y=Y, Y_true=ds.Y_true)
 

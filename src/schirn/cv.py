@@ -4,11 +4,12 @@ Their fits run in worker processes with BLAS on one thread, one per usable
 CPU but never more than there are units of work (one prefix chain of one
 fold each). The CLI starts them before it reads the data, and each takes
 the next unit as it frees up; the outputs depend on none of this. A worker
-imports this module and what it needs, never the CLI. The same workers
-serve any job with units (the matrix text spans of schirn.data too), and a
-worker may serve several jobs in its life: fit and predict start one per
-usable CPU for their matrix text I/O alone, when an input file is large
-enough for its spans to go to workers.
+imports this module and what it needs, never the CLI. A job is a
+module-level function and the argument tuples to call it with, as for
+itertools.starmap; the same workers run any such job (the matrix text spans
+of schirn.data too), and a worker may run several jobs in its life: fit and
+predict start one per usable CPU for their matrix text I/O alone, when an
+input file is large enough for its spans to go to workers.
 """
 
 import os
@@ -16,13 +17,12 @@ import pickle
 import sys
 from contextlib import suppress
 from dataclasses import dataclass, replace
-from functools import cached_property
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from .data import _SPAN, Dataset, FoldSplit, kfold_split
+from .data import _SPAN, Dataset, kfold_split
 from .metrics import evaluate_all
 from .solver import SchirnParams, Variant, _usable_cpus, binarize, fit_chain, predict_scores, prefix_chains
 
@@ -60,49 +60,33 @@ def _run_cvs(ds: Dataset, params_list, k_folds: int, seed: int, workers=None) ->
     (solver.prefix_chains) of one fold, run in a worker process by solver.fit_chain, so
     list ascending alphas together. ``workers`` are _Workers for this call (started here when
     None), which may have served the command's I/O before; they are closed on return."""
-    job = _CvJob(ds, kfold_split(ds.n, k_folds, seed=seed + 1), list(params_list))
-    with workers or _Workers(_worker_count(len(job.units))) as workers:
-        results = workers.run(job)
-    by_params = [[None] * k_folds for _ in job.params_list]
-    for (fold, chain), reports in zip(job.units, results):
-        for i, report in zip(chain, reports):
-            by_params[i][fold] = report
+    shared = (ds, kfold_split(ds.n, k_folds, seed=seed + 1), list(params_list))
+    units = _units(k_folds, shared[2])
+    by_params = [[None] * k_folds for _ in shared[2]]
+    with workers or _Workers(_worker_count(len(units))) as workers:
+        for (fold, chain), reports in zip(units, workers.starmap(_unit_reports, [(shared, *u) for u in units])):
+            for i, report in zip(chain, reports):
+                by_params[i][fold] = report
     eval_target = "truth" if ds.Y_true is not None else "candidates"
     return [_cv_outcome(reports, eval_target) for reports in by_params]
 
 
-@dataclass(frozen=True)
-class _CvJob:
-    """What every unit of a _run_cvs call reads: the data, its folds and the fits to run."""
-
-    ds: Dataset
-    split: FoldSplit
-    params_list: list
-
-    @cached_property
-    def units(self) -> list[tuple[int, range]]:
-        """(fold, chain) of each unit, fold by fold, each fold's chains in list order."""
-        return _units(self.split.k, self.params_list)
-
-    def run_unit(self, unit: int) -> list:
-        return _unit_reports(self, unit)
-
-
 def _units(k_folds: int, params_list) -> list[tuple[int, range]]:
+    """(fold, chain) of each unit, fold by fold, each fold's chains in list order."""
     chains = prefix_chains(params_list)
     return [(fold, chain) for fold in range(k_folds) for chain in chains]
 
 
-def _unit_reports(job: _CvJob, unit: int) -> list:
-    """One unit of _run_cvs: the test-fold MetricReport of each fit of its chain, in list order."""
-    fold, chain = job.units[unit]
-    ds, split = job.ds, job.split
+def _unit_reports(shared: tuple, fold: int, chain: range) -> list:
+    """One unit of _run_cvs: the test-fold MetricReport of each fit of ``chain`` on ``fold``, in
+    list order. ``shared`` is what every unit reads: (the data, its folds, the fits to run)."""
+    ds, split, params_list = shared
     target = ds.Y_true if ds.Y_true is not None else ds.Y
     tr = split.train_indices(fold)
     te = split.test_indices(fold)
     train, X_test, T_test = Dataset(X=ds.X[tr], Y=ds.Y[tr]), ds.X[te], target[te]
     reports = []
-    for model in fit_chain(train, job.params_list[chain.start:chain.stop]):
+    for model in fit_chain(train, params_list[chain.start:chain.stop]):
         scores = predict_scores(model, X_test)
         reports.append(evaluate_all(scores, binarize(scores, model.params.threshold), T_test))
     return reports
@@ -142,10 +126,11 @@ def _io_workers(*paths) -> "_Workers":
 class _Workers:
     """Worker interpreters for the jobs of one command; they start when this is made.
 
-    Each is a fresh ``sys.executable`` with BLAS on one thread: w workers then use w cores, and
-    the results do not depend on the caller's BLAS setting. (A forked worker would inherit a
+    A job is a module-level function and a list of argument tuples (see starmap). Each worker is
+    a fresh ``sys.executable`` with BLAS on one thread: w workers then use w cores, and the
+    results do not depend on the caller's BLAS setting. (A forked worker would inherit a
     multi-threaded BLAS; threads serialize on the interpreter lock.) Their start-up overlaps
-    whatever the caller does before its first run (reading files too small for spans, or a
+    whatever the caller does before its first starmap (reading files too small for spans, or a
     model). Leaving the context, or close, kills every worker still running, waits for it and
     closes its pipes.
     """
@@ -182,58 +167,71 @@ class _Workers:
             with suppress(BrokenPipeError):  # unsent input of a killed worker
                 proc.stdin.close()
 
-    def run(self, job) -> list:
-        """``job.run_unit(i)`` for every i in ``range(len(job.units))``, in unit order, all run in
-        the workers (at least one).
+    def starmap(self, fn, args: list):
+        """``fn(*a)`` for each tuple ``a`` of ``args``, run in the workers and yielded in order as
+        itertools.starmap yields them: each once it and every one before it have arrived.
 
-        Each worker gets the job once, then one unit index at a time: the next unit goes to
-        whichever worker answers first. An exception raised in a unit reaches the caller as
-        itself; of several, the lowest unit's, as a serial loop would raise it. Once a unit has
-        failed no further unit is sent, but those already sent finish, since a lower one may
-        fail too. A worker that ends without a result raises ChildProcessError with its exit
-        status.
+        ``fn`` is a module-level function, which pickle sends by name. Each worker gets ``(fn,
+        args)`` once, then one index at a time: the next goes to whichever worker answers first.
+        An exception raised by a call reaches the caller as itself, in its place in the order; of
+        several, the lowest index's, as a serial loop would raise it. Once a call has failed no
+        further index is sent, but those already sent finish, since a lower one may fail too.
+        Their answers, and those still due when the caller stops early (closes or drops the
+        generator), are read and dropped, so that the workers are ready for the next starmap. A
+        worker that ends without a result raises ChildProcessError with its exit status. Args
+        with no worker to run them raise ValueError.
         """
+        if args and not self.procs:
+            raise ValueError(f"{len(args)} calls to run but no worker process")
         import selectors
 
-        todo = iter(range(len(job.units)))
-        results = [None] * len(job.units)
-        errors = {}  # unit -> exception
-        busy = {}  # worker -> its unit
+        todo = list(reversed(range(len(args))))  # the indices not sent, the next one last
+        answers = {}  # index -> (result, None), or (None, the exception it raised)
+        busy = {}  # worker -> its index
 
         def send(proc, *messages) -> None:
-            unit = None if errors else next(todo, None)
-            if unit is None:
+            if not todo:
                 return
-            busy[proc] = unit
+            busy[proc] = todo.pop()
             try:
-                for message in (*messages, pickle.dumps(unit)):
+                for message in (*messages, pickle.dumps(busy[proc])):
                     proc.stdin.write(message)
                 proc.stdin.flush()
             except BrokenPipeError:
                 raise _ended(proc) from None
 
-        job_message = pickle.dumps(job, pickle.HIGHEST_PROTOCOL)
+        def receive() -> None:
+            """Reads the answers that have arrived, and sends each of their workers its next index."""
+            for key, _ in ready.select():
+                proc = key.data
+                try:
+                    answer = pickle.load(proc.stdout)
+                except (EOFError, pickle.UnpicklingError):
+                    raise _ended(proc) from None
+                answers[busy.pop(proc)] = answer
+                if answer[1] is not None:
+                    todo.clear()
+                send(proc)
+
+        job = pickle.dumps((fn, args), pickle.HIGHEST_PROTOCOL)
         with selectors.DefaultSelector() as ready:
             for proc in self.procs:
-                send(proc, job_message)
+                send(proc, job)
                 if proc in busy:
                     ready.register(proc.stdout, selectors.EVENT_READ, proc)
-            while busy:
-                for key, _ in ready.select():
-                    proc = key.data
-                    try:
-                        result, error = pickle.load(proc.stdout)
-                    except (EOFError, pickle.UnpicklingError):
-                        raise _ended(proc) from None
-                    unit = busy.pop(proc)
-                    if error is None:
-                        results[unit] = result
-                    else:
-                        errors[unit] = error
-                    send(proc)
-        if errors:
-            raise errors[min(errors)]
-        return results
+            for i in range(len(args)):
+                while i not in answers:
+                    receive()
+                result, error = answers.pop(i)
+                try:
+                    if error is not None:
+                        raise error
+                    yield result
+                except BaseException:  # a call failed, or the caller stopped early (GeneratorExit)
+                    todo.clear()
+                    while busy:
+                        receive()
+                    raise
 
 
 def _ended(proc) -> ChildProcessError:
@@ -241,24 +239,24 @@ def _ended(proc) -> ChildProcessError:
 
 
 def _worker(stdin, stdout) -> None:
-    """Body of a _Workers worker: reads messages until its input ends. A unit index is
-    answered with (``job.run_unit(unit)``, None), or (None, the exception that stopped it), for
-    the last job read; any other message is the next job.
+    """Body of a _Workers worker: reads messages until its input ends. An index i is answered
+    with (``fn(*args[i])``, None), or (None, the exception that stopped it), for the last job
+    ``(fn, args)`` read; any other message is the next job.
 
     Ctrl-C is left to the parent, which kills its workers.
     """
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    job = None
+    fn = args = None
     try:
         while True:
             message = pickle.load(stdin)
             if not isinstance(message, int):
-                job = message
+                fn, args = message
                 continue
             try:
-                answer = job.run_unit(message), None
+                answer = fn(*args[message]), None
             except Exception as exc:  # sent to the parent, which raises it
                 answer = None, exc
             pickle.dump(answer, stdout, pickle.HIGHEST_PROTOCOL)

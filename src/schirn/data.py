@@ -21,19 +21,21 @@ whichever path saw it first.
 Spans. ``load_matrix`` cuts the body of a file into spans of whole lines,
 each of at most ``_SPAN`` bytes plus the rest of its last line, and
 ``save_matrix`` formats a float matrix in spans of rows whose text stays
-within ``_SPAN`` bytes. Given a command's worker processes
-(``cv._Workers``), two or more, and text of two spans or more, the workers
-run the spans; otherwise the command's process runs them in order. Each
-span's array is the one numpy gives for those lines alone, so the result
-is bit-identical, and a file outside the plain subset still goes to the
-row loop whole, whatever span showed it.
+within ``_SPAN`` bytes. Each is a job of one function and its argument
+tuples, one tuple per span: given a command's worker processes
+(``cv._Workers``), two or more, and text of two spans or more, the workers'
+``starmap`` runs it; otherwise ``itertools.starmap`` runs it in the
+command's process, in order. Either yields the spans' results in order,
+each as it is ready. Each span's array is the one numpy gives for those
+lines alone, so the result is bit-identical, and a file outside the plain
+subset still goes to the row loop whole, whatever span showed it.
 """
 
 import io
 import os
 from dataclasses import dataclass, field
+from itertools import starmap
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -168,19 +170,14 @@ class _NotPlain(ValueError):
 
 
 def _spans(size: int, workers) -> tuple:
-    """(count, run): how many spans ``size`` bytes of text are cut into, and what runs a job of
-    them. With two workers or more and ``size`` of two spans or more, the workers run a multiple
-    of their count of spans of at most _SPAN bytes; otherwise the command's process runs spans of
-    at most _SPAN bytes in order, one at a time."""
+    """(count, starmap): how many spans ``size`` bytes of text are cut into, and what runs a job
+    of them. With two workers or more and ``size`` of two spans or more, the workers run a
+    multiple of their count of spans of at most _SPAN bytes; otherwise itertools.starmap runs
+    spans of at most _SPAN bytes in this process, one at a time."""
     count = len(workers) if workers is not None else 0
     if count < 2 or size < 2 * _SPAN:
-        return -(-size // _SPAN), _in_order
-    return count * -(-size // (count * _SPAN)), workers.run
-
-
-def _in_order(job):
-    """``job.run_unit`` of each unit in order, in this process, each as the caller reaches it."""
-    return map(job.run_unit, job.units)
+        return -(-size // _SPAN), starmap
+    return count * -(-size // (count * _SPAN)), workers.starmap
 
 
 def _parse_plain(path: Path, binary: bool, workers) -> np.ndarray | None:
@@ -213,7 +210,8 @@ def _parse_plain(path: Path, binary: bool, workers) -> np.ndarray | None:
     filled = 0  # body lines up to the last one that is not blank
     seen = 0  # line feeds in the spans before this one
     try:
-        for part, span_filled, span_lines in run(_SpanParse(str(path), binary, cuts)):
+        for part, span_filled, span_lines in run(_parse_span, [(str(path), *cut, binary)
+                                                               for cut in zip(cuts, cuts[1:])]):
             if part is not None:
                 if part.shape[1] != cols or done + len(part) > rows:
                     return None
@@ -222,7 +220,7 @@ def _parse_plain(path: Path, binary: bool, workers) -> np.ndarray | None:
                 else:
                     body[done:done + len(part)] = part
                 done += len(part)
-            del part  # so that a run in this process holds one span's array at a time
+            del part  # so that no span's array outlives its copy
             if span_filled:
                 filled = seen + span_filled
             seen += span_lines
@@ -272,21 +270,6 @@ def _parse_span(path: str, start: int, stop: int, binary: bool) -> tuple:
     if not np.isfinite(out).all():
         raise _NotPlain
     return out, filled, lines
-
-
-class _SpanParse(NamedTuple):
-    """A job (cv._Workers.run or _in_order): _parse_span of each span between consecutive ``cuts``."""
-
-    path: str
-    binary: bool
-    cuts: list
-
-    @property
-    def units(self) -> range:
-        return range(len(self.cuts) - 1)
-
-    def run_unit(self, unit: int) -> tuple:
-        return _parse_span(self.path, self.cuts[unit], self.cuts[unit + 1], self.binary)
 
 
 def _parse_rows(path: Path, lines: list[str], binary: bool) -> np.ndarray:
@@ -358,7 +341,7 @@ def save_matrix(path, a, *, binary: bool = False, workers=None) -> None:
         spans = [cells.tobytes()]
     else:
         count, run = _spans(A.size * _FLOAT_TEXT, workers)
-        spans = run(_RowFormat(A, min(A.shape[0], count)))
+        spans = run(_format_rows, [(rows,) for rows in np.array_split(A, min(A.shape[0], count))])
     with open(path, "wb") as fh:
         fh.write(f"{A.shape[0]} {A.shape[1]}\n".encode("ascii"))
         fh.writelines(spans)
@@ -366,21 +349,6 @@ def save_matrix(path, a, *, binary: bool = False, workers=None) -> None:
 
 def _format_rows(A: np.ndarray) -> bytes:
     return "".join([" ".join(map(repr, row)) + "\n" for row in A.tolist()]).encode("ascii")
-
-
-class _RowFormat(NamedTuple):
-    """A job (cv._Workers.run or _in_order): _format_rows of each of ``spans`` near-equal spans of A's rows."""
-
-    A: np.ndarray
-    spans: int
-
-    @property
-    def units(self) -> range:
-        return range(self.spans)
-
-    def run_unit(self, unit: int) -> bytes:
-        rows = self.A.shape[0]
-        return _format_rows(self.A[rows * unit // self.spans:rows * (unit + 1) // self.spans])
 
 
 def load_dataset(

@@ -301,8 +301,8 @@ class TestCv:
 
         untraced = cv.run_cv(ds, params, k_folds=3, seed=0)
         monkeypatch.setattr(cv, "fit_chain", traced_fit_chain)
-        job = cv._CvJob(ds, kfold_split(ds.n, 3, seed=1), [params])
-        traced = [cv._unit_reports(job, unit)[0] for unit in range(3)]  # one unit per fold
+        shared = (ds, kfold_split(ds.n, 3, seed=1), [params])
+        traced = [cv._unit_reports(shared, fold, range(1))[0] for fold in range(3)]  # one unit per fold
         assert chains == [[params]] * 3
         assert traced == untraced.fold_reports
 
@@ -736,6 +736,17 @@ class TestMissingOptions:
         rc = main(["fit", "--labels", "y.txt", "--out", str(tmp_path / "m")])
         assert rc == 2
         assert "features file is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data", ["labels", "truth"])
+    @pytest.mark.parametrize("command", ["fit", "cv", "grid", "ablate"])
+    def test_negative_r_exits_2(self, synth_files, tmp_path, capsys, command, data):
+        paths, _ = synth_files
+        out = tmp_path / "out"
+        rc = main([command, "--features", str(paths["features"]), f"--{data}", str(paths[data]),
+                   "--r", "-3", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: noise count r must be >= 0, got -3\n"
+        assert not out.exists()
 
     def test_run_grid_rejects_empty_programmatic_list(self, synth_files):
         from schirn.solver import SchirnParams

@@ -6,7 +6,9 @@ the test process's children from /proc before, during and after each call.
 """
 
 import gc
+import itertools
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -117,10 +119,10 @@ def test_fold_body_in_process():
     """The workers run without pytest's warning filters, so run the unit body here
     too: a RuntimeWarning in it fails this test."""
     ds, _ = make_synth(60, 8, 6, r=1, seed=0)
-    job = cv._CvJob(ds, kfold_split(ds.n, 3, seed=1), MIXED_CHAIN)
+    shared = (ds, kfold_split(ds.n, 3, seed=1), MIXED_CHAIN)
     by_params = [[None] * 3 for _ in MIXED_CHAIN]
-    for unit, (fold, chain) in enumerate(job.units):
-        for i, report in zip(chain, cv._unit_reports(job, unit), strict=True):
+    for fold, chain in cv._units(3, MIXED_CHAIN):
+        for i, report in zip(chain, cv._unit_reports(shared, fold, chain), strict=True):
             by_params[i][fold] = report
     outcomes = serial_run_cvs(ds, MIXED_CHAIN, 3, 0)
     assert by_params == [outcome.fold_reports for outcome in outcomes]
@@ -159,6 +161,61 @@ def test_worker_env_pins_blas_and_leaves_os_environ_alone(monkeypatch):
     assert {k: v for k, v in env.items() if k not in set_here} == {k: v for k, v in before.items() if k not in set_here}
 
 
+class TestStarmap:
+    """_Workers.starmap on two workers, with builtins, which any worker unpickles."""
+
+    def test_gives_what_itertools_starmap_gives(self):
+        args = [(7, 2), (9, -4), (2.5, 1), (-1, 3), (0, 5)]
+        with cv._Workers(2) as workers:
+            assert list(workers.starmap(divmod, args)) == list(itertools.starmap(divmod, args))
+            assert list(workers.starmap(divmod, [])) == []
+
+    def test_lowest_failing_call_wins_and_the_workers_go_on(self, tmp_path):
+        # calls 1 and 2 both raise, 2 first (1 sleeps); call 3 would write a file, but no call
+        # is sent after a failure
+        late = tmp_path / "late"
+        calls = ["pass", "import time; time.sleep(1.0); raise ValueError('1')", "raise ValueError('2')",
+                 f"open({str(late)!r}, 'w').close()"]
+        with cv._Workers(2) as workers:
+            with pytest.raises(ValueError, match="^1$"):
+                list(workers.starmap(exec, [(call, {}) for call in calls]))
+            assert not late.exists()
+            assert list(workers.starmap(divmod, [(7, 2), (9, 4), (1, 1)])) == [(3, 1), (2, 1), (1, 0)]
+
+    def test_a_caller_that_stops_early_leaves_the_workers_drained(self):
+        # the answers still due when the caller closes the generator are read and dropped, so
+        # the next starmap reads its own
+        with cv._Workers(2) as workers:
+            results = workers.starmap(exec, [("pass", {}), ("import time; time.sleep(0.5)", {}), ("pass", {})])
+            assert next(results) is None
+            results.close()
+            assert list(workers.starmap(divmod, [(7, 2), (9, 4), (1, 1)])) == [(3, 1), (2, 1), (1, 0)]
+
+    def test_calls_without_a_worker_raise(self):
+        workers = cv._Workers(0)
+        with pytest.raises(ValueError, match="^3 calls to run but no worker process$"):
+            next(workers.starmap(divmod, [(7, 2)] * 3))
+        assert list(workers.starmap(divmod, [])) == []
+
+    def test_a_cv_job_pickles_the_shared_data_once(self):
+        # ablate-mid's shape, 2000 x 100 x 20, and 5 folds: 15 units, each a tuple that starts
+        # with the same (data, folds, fits)
+        ds, _ = make_synth(2000, 100, 20, r=1, seed=0)
+        fits = cv._ablate_fits(SchirnParams())
+        jobs = []
+
+        class Recorder(cv._Workers):
+            def starmap(self, fn, args):
+                jobs.append((len(args), pickle.dumps((fn, args), pickle.HIGHEST_PROTOCOL)))
+                raise InterruptedError  # the fits themselves are not needed
+
+        with pytest.raises(InterruptedError):
+            cv._run_cvs(ds, fits, 5, 0, Recorder(1))
+        shared = pickle.dumps((ds, kfold_split(ds.n, 5, seed=1), fits), pickle.HIGHEST_PROTOCOL)
+        [(units, job)] = jobs
+        assert units == 15 and len(job) < 1.01 * len(shared)
+
+
 # ---------------------------------------------------------------------------
 # worker lifetime and errors
 
@@ -190,20 +247,20 @@ def leaves_no_process():
 
 def started_workers(monkeypatch, record: list) -> None:
     """Appends to ``record`` the children started since this call that are alive when
-    cmd_experiment reads the data and when each _Workers.run starts."""
+    cmd_experiment reads the data and when each _Workers.starmap starts."""
     before = child_pids()
-    load, run = cli._load_experiment_dataset, cv._Workers.run
+    load, starmap = cli._load_experiment_dataset, cv._Workers.starmap
 
     def watched_load(v, workers=None):
         record.append(child_pids() - before)
         return load(v, workers)
 
-    def watched_run(self, job):
+    def watched_starmap(self, fn, args):
         record.append(child_pids() - before)
-        return run(self, job)
+        return starmap(self, fn, args)
 
     monkeypatch.setattr(cli, "_load_experiment_dataset", watched_load)
-    monkeypatch.setattr(cv._Workers, "run", watched_run)
+    monkeypatch.setattr(cv._Workers, "starmap", watched_starmap)
 
 
 def simulate_cpus(monkeypatch, cpus: int) -> None:
@@ -223,10 +280,10 @@ def fit_chain(ds, params_list):
 
 unit_reports = cv._unit_reports
 
-def logged(job, unit):
+def logged(shared, fold, chain):
     with open(LOG, "a") as fh:
-        print(unit, file=fh)
-    return unit_reports(job, unit)
+        print(f"{fold}:{chain.start}", file=fh)
+    return unit_reports(shared, fold, chain)
 
 cv.fit_chain, cv._unit_reports = fit_chain, logged
 cv._worker(sys.stdin.buffer, sys.stdout.buffer)
@@ -314,7 +371,7 @@ class TestWorkerLifetime:
         params_list = [BASE, replace(BASE, variant=Variant.NO_RANK)]
         with leaves_no_process(), pytest.raises(ValueError, match="^high-rank$"):
             cv._run_cvs(ds, params_list, 3, 0)
-        assert sorted(log.read_text().split()) == ["0", "1"]
+        assert sorted(log.read_text().split()) == ["0:0", "0:1"]  # units 0 and 1
         serial = {"DELAY": 0.0, "LOG": os.devnull}
         exec(FAILING_WORKER.partition("cv.fit_chain, ")[0], serial)
         monkeypatch.setattr(sys.modules[__name__], "fit", lambda ds, params, trace: serial["fit_chain"](ds, [params]))

@@ -125,8 +125,8 @@ def assert_same_as_reference(path, binary):
 
 
 class InProcessWorkers:
-    """cv._Workers.run in this process, for ``count`` workers: the job and each result go through
-    pickle, as to and from a worker, and the lowest failing unit's error is raised."""
+    """cv._Workers.starmap in this process, for ``count`` workers: the job and each result go
+    through pickle, as to and from a worker, and the lowest failing unit's error is raised."""
 
     def __init__(self, count: int = 3):
         self.count = count
@@ -135,10 +135,10 @@ class InProcessWorkers:
     def __len__(self) -> int:
         return self.count
 
-    def run(self, job) -> list:
-        job = pickle.loads(pickle.dumps(job))
-        self.units_run += len(job.units)
-        return [pickle.loads(pickle.dumps(job.run_unit(unit))) for unit in job.units]
+    def starmap(self, fn, args) -> list:
+        fn, args = pickle.loads(pickle.dumps((fn, args)))
+        self.units_run += len(args)
+        return [pickle.loads(pickle.dumps(fn(*unit))) for unit in args]
 
 
 @pytest.fixture(scope="class", params=["in-process", "spans"])
@@ -228,7 +228,7 @@ class TestSpans:
             save_matrix(tmp_path / "a.txt", A, workers=workers)
             save_matrix(tmp_path / "y.txt", Y, binary=True, workers=workers)
             with monkeypatch.context() as mp:  # the workers parse every span, and all of the file
-                mp.setattr(schirn.data, "_parse_span", None)
+                mp.setattr(schirn.data.np, "loadtxt", None)
                 mp.setattr(schirn.data, "_parse_rows", None)
                 assert load_matrix(tmp_path / "a.txt", workers=workers).tobytes() == A.tobytes()
                 assert load_matrix(tmp_path / "y.txt", binary=True, workers=workers).tobytes() == Y.tobytes()
@@ -236,6 +236,22 @@ class TestSpans:
             got = outcome(partial(load_matrix, workers=workers), tmp_path / "b.txt", False)
             assert got == outcome(reference_load_matrix, tmp_path / "b.txt", False) == (A.shape, A.tobytes())
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "a_ref.txt").read_bytes()
+
+    def test_a_parse_that_stops_early_leaves_the_workers_ready(self, tmp_path, monkeypatch):
+        # a header one column wider than the rows: the first span's array shows it, the parse
+        # stops there for the row loop's error, and the same workers then format a matrix, as
+        # predict's do after its parse
+        monkeypatch.setattr(schirn.data, "_SPAN", 1 << 12)
+        A = np.random.default_rng(9).standard_normal((400, 7))
+        save_matrix(tmp_path / "a.txt", A)
+        text = (tmp_path / "a.txt").read_bytes()
+        (tmp_path / "wide.txt").write_bytes(b"400 8" + text[text.index(b"\n"):])
+        with cv._Workers(2) as workers:
+            with pytest.raises(MatrixFormatError, match="expected 8 values, found 7$"):
+                load_matrix(tmp_path / "wide.txt", workers=workers)
+            save_matrix(tmp_path / "b.txt", A, workers=workers)
+            assert load_matrix(tmp_path / "b.txt", workers=workers).tobytes() == A.tobytes()
+        assert (tmp_path / "b.txt").read_bytes() == text
 
 
 class TestLoadMatrix:

@@ -81,11 +81,13 @@ def test_ablate_loads_no_numpy_ma(tmp_path):
 
     # one worker fed every unit of those fits, as cv._Workers feeds its workers, reports its
     # modules on stderr
-    job = cv._CvJob(ds, kfold_split(ds.n, 3, seed=1), cv._ablate_fits(SchirnParams()))
-    units = range(len(job.units))
+    params_list = cv._ablate_fits(SchirnParams())
+    shared = (ds, kfold_split(ds.n, 3, seed=1), params_list)
+    args = [(shared, *unit) for unit in cv._units(3, params_list)]
+    units = range(len(args))
     unwanted = ("numpy.ma", "numpy.random", "argparse", "csv", "json", "schirn.cli")
     probe = cv._WORKER + f"; print([m for m in {unwanted!r} if m in sys.modules], file=sys.stderr)"
-    feed = b"".join(pickle.dumps(message) for message in (job, *units))
+    feed = b"".join(pickle.dumps(message) for message in ((cv._unit_reports, args), *units))
     out = subprocess.run([sys.executable, "-c", probe], input=feed,
                          env=cv._worker_env(), capture_output=True, check=True, timeout=120)
     answers = io.BytesIO(out.stdout)
