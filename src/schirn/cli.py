@@ -22,8 +22,8 @@ from pathlib import Path
 
 from .cv import (METRIC_FIELDS, _ablate_fits, _ablate_rows, _grid_fits, _grid_rows, _io_workers, _run_cvs, _units,
                  _worker_count, _Workers)
-from .data import (Dataset, MatrixFormatError, NoiseSpec, describe, drop_empty_truth, inject_noise, load_dataset,
-                   load_matrix, save_matrix, standardize)
+from .data import (Dataset, MatrixFormatError, NoiseSpec, describe, inject_noise, load_dataset, load_matrix,
+                   save_matrix, standardize)
 from .diagnostics import rank_report, verify_rank_theorem
 from .linalg import NumericalError
 from .metrics import evaluate_all
@@ -140,23 +140,14 @@ def _load_experiment_dataset(v: dict, workers=None) -> Dataset:
     noise = NoiseSpec(r=v["r"], seed=v["seed"])  # checks r >= 0
     if v["features"] is None:
         raise ValueError("a features file is required (--features)")
-    if noise.r == 0:
-        if v["labels"] is None:
-            raise ValueError("a candidate-labels file is required (--labels) when r = 0")
-        return load_dataset(v["features"], v["labels"], v["truth"], standardize_features=v["standardize"],
-                            filter_empty_truth=v["filter_empty_truth"], workers=workers)
-    if v["truth"] is None:
+    if noise.r == 0 and v["labels"] is None:
+        raise ValueError("a candidate-labels file is required (--labels) when r = 0")
+    if noise.r > 0 and v["truth"] is None:
         raise ValueError("noise injection (r > 0) requires a ground-truth file (--truth)")
-    if v["labels"] is not None:
+    if noise.r > 0 and v["labels"] is not None:
         raise ValueError("r > 0 generates candidates from --truth; do not also pass --labels")
-    X = load_matrix(v["features"], workers=workers)
-    Y_true = load_matrix(v["truth"], binary=True, workers=workers)
-    ds = Dataset(X=X, Y=Y_true.copy(), Y_true=Y_true)
-    if v["filter_empty_truth"]:
-        ds = drop_empty_truth(ds)
-    Y = inject_noise(ds.Y_true, noise)
-    X = standardize(ds.X) if v["standardize"] else ds.X
-    return Dataset(X=X, Y=Y, Y_true=ds.Y_true)
+    return load_dataset(v["features"], v["labels"], v["truth"], standardize_features=v["standardize"],
+                        filter_empty_truth=v["filter_empty_truth"], noise=noise, workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +265,8 @@ def cmd_predict(v: dict) -> None:
         X = load_matrix(v["features"], workers=workers)
         if v["standardize"]:
             X = standardize(X)
-        out_dir.mkdir(parents=True, exist_ok=True)
         scores = predict_scores(model, X)
+        out_dir.mkdir(parents=True, exist_ok=True)
         save_matrix(out_dir / "scores.txt", scores, workers=workers)
     save_matrix(out_dir / "labels.txt", binarize(scores, model.params.threshold), binary=True)
 

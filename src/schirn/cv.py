@@ -15,7 +15,7 @@ input file is large enough for its spans to go to workers.
 import os
 import pickle
 import sys
-from contextlib import suppress
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, replace
 from itertools import product
 from pathlib import Path
@@ -58,12 +58,12 @@ def run_cv(ds: Dataset, params: SchirnParams, k_folds: int, seed: int) -> CvOutc
 def _run_cvs(ds: Dataset, params_list, k_folds: int, seed: int, workers=None) -> list[CvOutcome]:
     """run_cv for each params on the same folds. The unit of work is one prefix chain
     (solver.prefix_chains) of one fold, run in a worker process by solver.fit_chain, so
-    list ascending alphas together. ``workers`` are _Workers for this call (started here when
-    None), which may have served the command's I/O before; they are closed on return."""
+    list ascending alphas together. ``workers`` are the _Workers to run them on, left open for
+    their opener to close; when None, workers are started here and closed on return."""
     shared = (ds, kfold_split(ds.n, k_folds, seed=seed + 1), list(params_list))
     units = _units(k_folds, shared[2])
     by_params = [[None] * k_folds for _ in shared[2]]
-    with workers or _Workers(_worker_count(len(units))) as workers:
+    with _Workers(_worker_count(len(units))) if workers is None else nullcontext(workers) as workers:
         for (fold, chain), reports in zip(units, workers.starmap(_unit_reports, [(shared, *u) for u in units])):
             for i, report in zip(chain, reports):
                 by_params[i][fold] = report

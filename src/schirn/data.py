@@ -358,16 +358,23 @@ def load_dataset(
     *,
     standardize_features: bool = False,
     filter_empty_truth: bool = False,
+    noise: NoiseSpec | None = None,
     workers=None,
 ) -> Dataset:
     """Load a dataset from its on-disk file pair (plus optional truth file); ``workers`` as for
-    load_matrix."""
+    load_matrix. With ``noise`` of r > 0 the candidates are the truth with that noise injected,
+    after the empty-truth filter, and ``labels`` is not read."""
+    noisy = noise is not None and noise.r > 0
+    if noisy and truth is None:
+        raise ValueError("noise injection (r > 0) requires a ground-truth file")
     X = load_matrix(features, workers=workers)
-    Y = load_matrix(labels, binary=True, workers=workers)
+    Y = None if noisy else load_matrix(labels, binary=True, workers=workers)
     Y_true = load_matrix(truth, binary=True, workers=workers) if truth is not None else None
-    ds = Dataset(X=X, Y=Y, Y_true=Y_true)
+    ds = Dataset(X=X, Y=Y_true if noisy else Y, Y_true=Y_true)
     if filter_empty_truth:
         ds = drop_empty_truth(ds)
+    if noisy:
+        ds = Dataset(X=ds.X, Y=inject_noise(ds.Y_true, noise), Y_true=ds.Y_true)
     if standardize_features:
         ds = Dataset(X=standardize(ds.X), Y=ds.Y, Y_true=ds.Y_true)
     return ds

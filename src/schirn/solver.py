@@ -87,9 +87,9 @@ kernels than the whole product (see _ROW_ALIGN and _SMALL_GEMM). So W, N
 and both traces are bit-identical to one block, which is the serial loop.
 fit uses up to one block per usable CPU, as long as every block holds at
 least _ROW_FLOOR entries of the n x l iterates and more than _SMALL_GEMM
-multiply-adds in each product, and one when BLAS runs on more than one
-thread, whose products already take the CPUs; fit_chain always uses one,
-because its callers already run one fit per CPU.
+multiply-adds in each product, whatever the BLAS thread count (a
+multi-threaded BLAS ran fit-tall's loop as fast on two blocks as on one);
+fit_chain always uses one, because its callers already run one fit per CPU.
 
 Ablation variants: "high-rank" is the full method; "no-rank" drops the
 nuclear term (C = G); "no-sparsity" keeps the high-rank term but freezes
@@ -221,11 +221,20 @@ class SchirnParams:
     @classmethod
     def from_mapping(cls, values) -> "SchirnParams":
         """Inverse of to_dict: every field is read from its external key
-        (KeyError if one is missing) and coerced to its default's type, so
-        the strings of a model.meta file work too; other keys are ignored.
-        The coercion assumes float, int, str or str-enum fields (bool("0")
-        would be True)."""
-        return cls(**{f.name: type(f.default)(values[_param_key(f)]) for f in fields(cls)})
+        and coerced to its default's type (see _read), so the strings of a
+        model.meta file work too; other keys are ignored. The coercion
+        assumes float, int, str or str-enum fields (bool("0") would be True)."""
+        return cls(**{f.name: _read(values, _param_key(f), type(f.default)) for f in fields(cls)})
+
+
+def _read(values, key: str, kind):
+    """``kind(values[key])``; a ValueError names the key when it is missing or ``kind`` rejects it."""
+    if key not in values:
+        raise ValueError(f"missing key {key!r}")
+    try:
+        return kind(values[key])
+    except ValueError:
+        raise ValueError(f"bad value {values[key]!r} for key {key!r}") from None
 
 
 def _param_key(f) -> str:
@@ -266,7 +275,7 @@ class XtProducts:
 
     @classmethod
     def start(cls, X: np.ndarray, Y: np.ndarray, state: SolverState) -> "XtProducts":
-        """The products at _initial_state, where N = 0 and C = Lam; every step rebinds them, none
+        """The products at the initial state, where N = 0 and C = Lam; every step rebinds them, none
         writes into them, so XtLam may be XtC."""
         XtC = X.T @ state.C
         return cls(X=X, XtY=X.T @ Y, XtN=np.zeros_like(XtC), XtC=XtC, XtLam=XtC)
@@ -350,17 +359,6 @@ def prefix_chains(params_list) -> list[range]:
     return [range(a, b) for a, b in zip(starts, [*starts[1:], len(links)])]
 
 
-def _initial_state(n: int, d: int, l: int, params: SchirnParams) -> SolverState:
-    # W and N start at zero, C and the multiplier at all-ones
-    return SolverState(
-        W=np.zeros((d, l)),
-        N=np.zeros((n, l)),
-        C=np.ones((n, l)),
-        Lam=np.ones((n, l)),
-        mu=params.mu0,
-    )
-
-
 def _c_shift_amount(params: SchirnParams, mu: float) -> float:
     if params.c_shift == "paper":
         return 2.0 * params.beta / (2.0 + mu)
@@ -384,24 +382,11 @@ def _row_cuts(n: int, count: int) -> list[int]:
     return sorted({n * i // count // _ROW_ALIGN * _ROW_ALIGN for i in range(1, count)} - {0})
 
 
-def _blas_threads() -> int:
-    """The threads of numpy's OpenBLAS as it reads them when it loads: the first positive
-    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS, at most one per usable CPU."""
-    cpus = _usable_cpus()
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return min(int(value), cpus)
-    return cpus
-
-
 def _fit_block_count(n: int, d: int, l: int) -> int:
     """fit's row blocks: the most, up to one per usable CPU, whose smallest block holds at least
     _ROW_FLOOR entries of the n x l iterates and more than _SMALL_GEMM multiply-adds in X W and
-    G M; one if no count of two or more does, or if BLAS runs on more than one thread, as its
-    products then already take every CPU (and blocks measured slower there)."""
-    if _blas_threads() > 1:
-        return 1
+    G M; one if no count of two or more does. The BLAS thread count plays no part: with BLAS on
+    every CPU, two blocks and one measured the same."""
     for count in range(min(_usable_cpus(), n), 1, -1):
         bounds = [0, *_row_cuts(n, count), n]
         least = min(b - a for a, b in zip(bounds, bounds[1:]))
@@ -728,7 +713,9 @@ def _fit(X, Y, params: SchirnParams, traced: bool, lead: _Branch | None = None,
     l = Y.shape[1]
     dual = d > n  # factor the smaller Gram matrix
     if lead is None:
-        state = _initial_state(n, d, l, params)
+        # W and N start at zero, C and the multiplier at all-ones
+        state = SolverState(W=np.zeros((d, l)), N=np.zeros((n, l)), C=np.ones((n, l)), Lam=np.ones((n, l)),
+                            mu=params.mu0)
         with np.errstate(over="ignore", invalid="ignore"):  # finite features can overflow their Gram
             gram = _sym_gram(X, dual)
         # symmetric by construction, so one finiteness check stands in for sym_eig's scans
@@ -815,16 +802,13 @@ def load_model(model_dir) -> Model:
 
     model_dir = Path(model_dir)
     W = load_matrix(model_dir / "weights.txt")
-    meta: dict[str, str] = {}
-    with open(model_dir / "model.meta", "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and "=" in line:
-                key, _, value = line.partition("=")
-                meta[key] = value
-    params = SchirnParams.from_mapping(meta)
-    report = FitReport(
-        iterations_run=int(meta["iterations_run"]),
-        final_rank_XW=int(meta["final_rank_xw"]),
-    )
+    meta_path = model_dir / "model.meta"
+    with open(meta_path, "r", encoding="utf-8") as fh:
+        meta = dict(line.strip().partition("=")[::2] for line in fh if "=" in line)
+    try:
+        params = SchirnParams.from_mapping(meta)
+        report = FitReport(iterations_run=_read(meta, "iterations_run", int),
+                           final_rank_XW=_read(meta, "final_rank_xw", int))
+    except ValueError as exc:
+        raise ValueError(f"{meta_path}: {exc}") from None
     return Model(W=W, params=params, report=report)

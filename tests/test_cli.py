@@ -176,6 +176,35 @@ class TestPredictEval:
         assert not np.array_equal(load_matrix(plain / "scores.txt"),
                                   load_matrix(scaled / "scores.txt"))
 
+    def test_predict_input_error_leaves_no_out_dir(self, synth_files, tmp_path, capsys):
+        paths, ds = synth_files
+        model_dir = tmp_path / "model"
+        main(["fit", "--features", str(paths["features"]), "--labels", str(paths["labels"]),
+              "--max-iter", "5", "--out", str(model_dir)])
+        save_matrix(tmp_path / "wide.txt", np.ones((4, ds.d + 1)))
+        out = tmp_path / "pred"
+        assert main(["predict", "--model", str(model_dir), "--features", str(tmp_path / "wide.txt"),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: X_test has {ds.d + 1} features but the model expects {ds.d}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rho_line, message", [(None, "missing key 'rho'"),
+                                                   ("rho=abc", "bad value 'abc' for key 'rho'")],
+                             ids=["missing", "bad-value"])
+    def test_model_meta_errors_name_the_file_and_the_key(self, synth_files, tmp_path, capsys, rho_line, message):
+        paths, _ = synth_files
+        model_dir = tmp_path / "model"
+        main(["fit", "--features", str(paths["features"]), "--labels", str(paths["labels"]),
+              "--max-iter", "5", "--out", str(model_dir)])
+        meta = model_dir / "model.meta"
+        lines = [rho_line if text.startswith("rho=") else text for text in meta.read_text().splitlines()]
+        meta.write_text("".join(text + "\n" for text in lines if text is not None))
+        out = tmp_path / "pred"
+        assert main(["predict", "--model", str(model_dir), "--features", str(paths["features"]),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {meta}: {message}\n"
+        assert not out.exists()
+
     def test_predict_then_eval(self, synth_files, tmp_path):
         paths, ds = synth_files
         model_dir = tmp_path / "model"

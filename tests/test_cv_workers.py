@@ -33,9 +33,7 @@ from synthdata import make_synth
 
 def serial_run_cvs(ds, params_list, k_folds, seed, workers=None):
     """cv._run_cvs in this process, each fit from scratch; ``workers`` (as cmd_experiment
-    passes them) are closed unused."""
-    if workers is not None:
-        workers.close()
+    passes them) go unused, left to their opener to close."""
     split = kfold_split(ds.n, k_folds, seed=seed + 1)
     target = ds.Y_true if ds.Y_true is not None else ds.Y
     eval_target = "truth" if ds.Y_true is not None else "candidates"
@@ -210,10 +208,29 @@ class TestStarmap:
                 raise InterruptedError  # the fits themselves are not needed
 
         with pytest.raises(InterruptedError):
-            cv._run_cvs(ds, fits, 5, 0, Recorder(1))
+            cv._run_cvs(ds, fits, 5, 0, Recorder(0))
         shared = pickle.dumps((ds, kfold_split(ds.n, 5, seed=1), fits), pickle.HIGHEST_PROTOCOL)
         [(units, job)] = jobs
         assert units == 15 and len(job) < 1.01 * len(shared)
+
+    def test_a_given_empty_pool_runs_the_units(self, monkeypatch):
+        # a _Workers(0) passed in gets the call, and no pool of _run_cvs's own starts
+        ds, _ = make_synth(60, 8, 6, r=1, seed=0)
+        calls = []
+
+        class InProcess(cv._Workers):
+            def starmap(self, fn, args):
+                calls.append(len(args))
+                return itertools.starmap(fn, args)
+
+        workers = InProcess(0)
+
+        def no_pool(count):
+            raise AssertionError("_run_cvs started workers of its own")
+
+        monkeypatch.setattr(cv, "_Workers", no_pool)
+        assert cv._run_cvs(ds, MIXED_CHAIN, 3, 0, workers) == serial_run_cvs(ds, MIXED_CHAIN, 3, 0)
+        assert calls == [len(cv._units(3, MIXED_CHAIN))]
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +316,14 @@ class TestWorkerLifetime:
             run_cv(ds, params, 3, 0)
             run_grid(ds, params, 5, 0, [0.5, 1.0], [0.05], [10.0])
             run_ablate(ds, params, 2, 0)
+
+    def test_a_given_pool_is_left_running(self):
+        # the with that opened the workers closes them, not _run_cvs
+        ds, _ = make_synth(60, 8, 6, r=1, seed=0)
+        with leaves_no_process(), cv._Workers(2) as workers:
+            assert cv._run_cvs(ds, [BASE], 3, 0, workers) == serial_run_cvs(ds, [BASE], 3, 0)
+            assert [proc.poll() for proc in workers.procs] == [None, None]
+            assert list(workers.starmap(divmod, [(7, 2)])) == [(3, 1)]
 
     @pytest.mark.parametrize("cpus, command, folds, workers", [
         (4, "cv", 2, 2), (4, "ablate", 3, 4), (1, "cv", 2, 1), (1, "ablate", 3, 1),

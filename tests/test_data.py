@@ -662,6 +662,23 @@ class TestDataset:
         assert ds.n == 2
         assert np.allclose(ds.X, [[-1.0, 0.0], [1.0, 0.0]])
 
+    def test_load_dataset_injects_noise_after_filtering_and_before_standardizing(self, tmp_path):
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((6, 3))
+        T = (rng.random((6, 5)) < 0.4).astype(float)
+        T[[1, 4]] = 0.0  # empty truth, dropped before the noise draws
+        save_matrix(tmp_path / "x.txt", X)
+        save_matrix(tmp_path / "t.txt", T, binary=True)
+        noise = NoiseSpec(r=2, seed=9)
+        ds = load_dataset(tmp_path / "x.txt", tmp_path / "absent.txt", tmp_path / "t.txt", standardize_features=True,
+                          filter_empty_truth=True, noise=noise)
+        keep = [0, 2, 3, 5]
+        assert np.array_equal(ds.Y_true, T[keep])
+        assert np.array_equal(ds.Y, inject_noise(T[keep], noise))
+        assert np.array_equal(ds.X, standardize(X[keep]))
+        with pytest.raises(ValueError, match=r"^noise injection \(r > 0\) requires a ground-truth file$"):
+            load_dataset(tmp_path / "x.txt", None, noise=noise)
+
     def test_drop_empty_truth(self):
         ds = Dataset(
             X=np.arange(8.0).reshape(4, 2),

@@ -10,6 +10,7 @@ by accident.
 
 import argparse
 import json
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -108,10 +109,10 @@ def test_legacy_model_meta_loads_and_rewrites_identically(tmp_path):
 
 def test_meta_missing_a_field_is_rejected(tmp_path):
     save_matrix(tmp_path / "weights.txt", np.eye(3))
-    for f in FIELDS:
-        lines = [line for line in LEGACY_META.splitlines() if not line.startswith(KEYS[f.name] + "=")]
+    for key in [*(KEYS[f.name] for f in FIELDS), "iterations_run", "final_rank_xw"]:
+        lines = [line for line in LEGACY_META.splitlines() if not line.startswith(key + "=")]
         (tmp_path / "model.meta").write_text("\n".join(lines) + "\n")
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'model.meta'))}: missing key '{key}'$"):
             load_model(tmp_path)
 
 

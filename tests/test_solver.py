@@ -1,11 +1,16 @@
+import os
+import pickle
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schirn import Dataset, SchirnParams, Variant, fit, load_model, save_model, solver
+from schirn import Dataset, SchirnParams, Variant, cv, fit, load_model, save_model, solver
 from schirn.linalg import NumericalError, numerical_rank, sym_eig
 from schirn.solver import (
     SolverState,
@@ -1000,6 +1005,27 @@ _BLOCK_ROUTES = pytest.mark.parametrize("shape", [(200, 30, 12), (110, 150, 8), 
                                         ids=["primal", "dual-w", "wide-c", "above-the-floor"])
 
 
+# fits of the above-the-floor shape on 1, 2 and 3 row blocks, as test_every_block_count_gives_the_same_fit
+# runs its default case, pickled with the threads the interpreter has once numpy has loaded (None
+# without /proc)
+_BLOCKS_IN_A_CHILD = """
+import pickle, sys
+from pathlib import Path
+from schirn import SchirnParams, solver
+from synthdata import make_synth
+
+status = Path("/proc/self/status")
+threads = int(status.read_text().split("Threads:")[1].split()[0]) if status.is_file() else None
+ds, _ = make_synth(6000, 40, 50, r=1, seed=0)
+X, Y = solver._training_arrays(ds)
+fits = []
+for count in (1, 2, 3):
+    with solver._Rows(6000, count) as rows:
+        fits.append(solver._fit(X, Y, SchirnParams(alpha=0.5, max_iter=4), True, rows=rows)[0])
+pickle.dump((threads, fits), sys.stdout.buffer)
+"""
+
+
 class TestRowBlocks:
     """Row blocks (solver._Rows) change no bit of a fit, whatever their count."""
 
@@ -1039,15 +1065,14 @@ class TestRowBlocks:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("n", [40, 150])
     def test_fit_takes_one_block_per_cpu_above_the_floor(self, monkeypatch, cpus, n):
-        # with both floors at nothing and BLAS on one thread, fit uses min(cpus, n * l) blocks,
-        # fewer where n is below two aligned blocks; the model is the one-CPU model
+        # with both floors at nothing, fit uses min(cpus, n * l) blocks, fewer where n is below
+        # two aligned blocks; the model is the one-CPU model
         ds, _ = make_synth(n, 6, 5, r=1, seed=2)
         params = default_params(alpha=0.5, max_iter=30)
         expected = fit(ds, params)
         monkeypatch.setattr(solver, "_ROW_FLOOR", 1)
         monkeypatch.setattr(solver, "_SMALL_GEMM", 0)
         monkeypatch.setattr(solver, "_usable_cpus", lambda: cpus)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         seen = []
         inner = solver._fit
         monkeypatch.setattr(solver, "_fit",
@@ -1055,20 +1080,20 @@ class TestRowBlocks:
         assert_same_fit(fit(ds, params), expected)
         assert seen == [min(cpus, -(-n // solver._ROW_ALIGN))]
 
-    @pytest.mark.parametrize("n, d, l, blocks", [
-        (10000, 300, 50, 2),  # fit-tall
-        (2000, 100, 20, 1),  # ablate-mid: below the entry floor
-        (30000, 5, 10, 1),  # above the entry floor, but each block's X W is 748,800 multiply-adds
+    @pytest.mark.parametrize("cpus, n, d, l, blocks", [
+        # fit-tall: 2 blocks on 2 CPUs; on 4, 3, as its 2,496-row blocks hold under 2^17 entries
+        (2, 10000, 300, 50, 2), (4, 10000, 300, 50, 3),
+        (2, 2000, 100, 20, 1),  # ablate-mid: below the entry floor
+        (2, 30000, 5, 10, 1),  # above the entry floor, but each block's X W is 748,800 multiply-adds
         # d, l <= 7 at the two-block boundary: blocks start at multiples of 48 rows, so the first
         # block of 57,215 rows has 28,560, whose X W is 999,600 multiply-adds; of 57,216, 28,608
-        (57215, 5, 7, 1), (57216, 5, 7, 2),
-        (80063, 7, 5, 1), (80064, 7, 5, 2),  # the same for G M (rows l l)
+        (2, 57215, 5, 7, 1), (2, 57216, 5, 7, 2),
+        (2, 80063, 7, 5, 1), (2, 80064, 7, 5, 2),  # the same for G M (rows l l)
         # the first block of 32,831 rows holds 16,368 x 8 = 130,944 entries, 128 under 2^17
-        (32831, 100, 8, 1), (32832, 100, 8, 2),
+        (2, 32831, 100, 8, 1), (2, 32832, 100, 8, 2),
     ])
-    def test_blocks_clear_both_floors_after_alignment(self, monkeypatch, n, d, l, blocks):
-        monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    def test_blocks_clear_both_floors_after_alignment(self, monkeypatch, cpus, n, d, l, blocks):
+        monkeypatch.setattr(solver, "_usable_cpus", lambda: cpus)
         assert solver._fit_block_count(n, d, l) == blocks
 
     @pytest.mark.parametrize("shape", [(57216, 5, 7), (80064, 7, 5)], ids=["x-w", "g-m"])
@@ -1086,22 +1111,21 @@ class TestRowBlocks:
         assert len(sizes) == 2 and solver._SMALL_GEMM < min(sizes) * l * min(d, l) < 1.01 * solver._SMALL_GEMM
         assert_same_fit(fits[1], fits[0])
 
-    @pytest.mark.parametrize("env, cpus, threads", [
-        ({}, 2, 2), ({"OPENBLAS_NUM_THREADS": "1"}, 2, 1), ({"OMP_NUM_THREADS": "1"}, 4, 1),
-        ({"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 4, 3), ({"GOTO_NUM_THREADS": "8"}, 4, 4),
-        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 1), ({"OMP_NUM_THREADS": "x"}, 2, 2),
-    ])
-    def test_blas_threads_follow_openblas_start_up(self, monkeypatch, env, cpus, threads):
-        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        for var, value in env.items():
-            monkeypatch.setenv(var, value)
-        monkeypatch.setattr(solver, "_usable_cpus", lambda: cpus)
-        assert solver._blas_threads() == threads
-        # a multi-threaded BLAS already spreads X W and G M over the CPUs, so fit-tall's fit
-        # takes one block; on one BLAS thread 2 (2 CPUs) or 3 (4 CPUs: 2,496-row blocks hold
-        # under 2^17 entries)
-        assert solver._fit_block_count(10000, 300, 50) == ({2: 2, 4: 3}[cpus] if threads == 1 else 1)
+    @pytest.mark.parametrize("blas_threads", [1, 2])
+    def test_block_counts_agree_with_blas_on_one_thread_and_on_two(self, blas_threads):
+        # the tests above run on whatever BLAS threads the shell sets; a child interpreter
+        # fixes them, in the workers' environment with this directory on PYTHONPATH too
+        env = cv._worker_env()
+        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).parent), env["PYTHONPATH"]])
+        child = subprocess.run([sys.executable, "-c", _BLOCKS_IN_A_CHILD], env=env, stdout=subprocess.PIPE,
+                               check=True, timeout=300)
+        threads, fits = pickle.loads(child.stdout)
+        # OpenBLAS starts its threads as it loads, at most one per CPU
+        assert threads in (None, min(blas_threads, solver._usable_cpus()))
+        assert len(fits) == 3
+        for model in fits[1:]:
+            assert_same_fit(model, fits[0])
 
     def test_first_blocks_error_wins_after_every_block_ends(self):
         ended = []
