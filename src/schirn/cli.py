@@ -219,7 +219,17 @@ def _out_dir(v: dict) -> Path:
     return out_dir
 
 
-def _write_json(path, payload) -> None:
+def _out_file(v: dict) -> Path:
+    """--out as the file a command writes; checked before any work. Its missing parent
+    directories are made when it is written."""
+    out = Path(v["out"])
+    if out.is_dir():
+        raise IsADirectoryError(f"--out {out} is a directory")
+    return out
+
+
+def _write_json(path: Path, payload) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -230,8 +240,10 @@ def _write_json(path, payload) -> None:
 
 
 def cmd_inject(v: dict) -> None:
-    truth = load_matrix(v["truth"], binary=True)
-    save_matrix(v["out"], inject_noise(truth, NoiseSpec(r=v["r"], seed=v["seed"])), binary=True)
+    out = _out_file(v)
+    candidates = inject_noise(load_matrix(v["truth"], binary=True), NoiseSpec(r=v["r"], seed=v["seed"]))
+    out.parent.mkdir(parents=True, exist_ok=True)
+    save_matrix(out, candidates, binary=True)
 
 
 def cmd_fit(v: dict) -> None:
@@ -273,6 +285,7 @@ def cmd_predict(v: dict) -> None:
 
 def cmd_eval(v: dict) -> None:
     threshold = SchirnParams(threshold=v["threshold"]).threshold  # checked as fit's threshold is
+    out = _out_file(v)
     scores = load_matrix(v["scores"])
     truth = load_matrix(v["truth"], binary=True)
     if v["pred"] is not None:
@@ -280,7 +293,7 @@ def cmd_eval(v: dict) -> None:
     else:
         pred = binarize(scores, threshold)
     report = evaluate_all(scores, pred, truth)
-    _write_json(v["out"], {"metrics": report.as_dict(), "threshold": threshold, "conventions": _CONVENTIONS})
+    _write_json(out, {"metrics": report.as_dict(), "threshold": threshold, "conventions": _CONVENTIONS})
 
 
 def cmd_experiment(v: dict) -> None:
@@ -309,15 +322,17 @@ def cmd_experiment(v: dict) -> None:
 
 
 def cmd_rank_report(v: dict) -> None:
+    out = _out_file(v)
     model = load_model(v["model"])
     ds = load_dataset(v["features"], v["labels"], v["truth"], standardize_features=v["standardize"],
                       filter_empty_truth=v["filter_empty_truth"])
-    _write_json(v["out"], {"ranks": rank_report(model, ds).as_dict(), "threshold": model.params.threshold})
+    _write_json(out, {"ranks": rank_report(model, ds).as_dict(), "threshold": model.params.threshold})
 
 
 def cmd_theorem_check(v: dict) -> None:
+    out = _out_file(v)
     result = verify_rank_theorem(n=v["n"], l=v["l"], epsilon=v["epsilon"], trials=v["trials"], seed=v["seed"])
-    _write_json(v["out"], result.as_dict())
+    _write_json(out, result.as_dict())
 
 
 # ---------------------------------------------------------------------------

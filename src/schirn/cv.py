@@ -57,9 +57,9 @@ def run_cv(ds: Dataset, params: SchirnParams, k_folds: int, seed: int) -> CvOutc
 
 def _run_cvs(ds: Dataset, params_list, k_folds: int, seed: int, workers=None) -> list[CvOutcome]:
     """run_cv for each params on the same folds. The unit of work is one prefix chain
-    (solver.prefix_chains) of one fold, run in a worker process by solver.fit_chain, so
-    list ascending alphas together. ``workers`` are the _Workers to run them on, left open for
-    their opener to close; when None, workers are started here and closed on return."""
+    (solver.prefix_chains) of one fold, run in a worker process by solver.fit_chain.
+    ``workers`` are the _Workers to run them on, left open for their opener to close; when
+    None, workers are started here and closed on return."""
     shared = (ds, kfold_split(ds.n, k_folds, seed=seed + 1), list(params_list))
     units = _units(k_folds, shared[2])
     by_params = [[None] * k_folds for _ in shared[2]]
@@ -71,22 +71,22 @@ def _run_cvs(ds: Dataset, params_list, k_folds: int, seed: int, workers=None) ->
     return [_cv_outcome(reports, eval_target) for reports in by_params]
 
 
-def _units(k_folds: int, params_list) -> list[tuple[int, range]]:
-    """(fold, chain) of each unit, fold by fold, each fold's chains in list order."""
+def _units(k_folds: int, params_list) -> list[tuple[int, list[int]]]:
+    """(fold, chain) of each unit, fold by fold, each fold's chains as prefix_chains gives them."""
     chains = prefix_chains(params_list)
     return [(fold, chain) for fold in range(k_folds) for chain in chains]
 
 
-def _unit_reports(shared: tuple, fold: int, chain: range) -> list:
+def _unit_reports(shared: tuple, fold: int, chain: list[int]) -> list:
     """One unit of _run_cvs: the test-fold MetricReport of each fit of ``chain`` on ``fold``, in
-    list order. ``shared`` is what every unit reads: (the data, its folds, the fits to run)."""
+    chain order. ``shared`` is what every unit reads: (the data, its folds, the fits to run)."""
     ds, split, params_list = shared
     target = ds.Y_true if ds.Y_true is not None else ds.Y
     tr = split.train_indices(fold)
     te = split.test_indices(fold)
     train, X_test, T_test = Dataset(X=ds.X[tr], Y=ds.Y[tr]), ds.X[te], target[te]
     reports = []
-    for model in fit_chain(train, params_list[chain.start:chain.stop]):
+    for model in fit_chain(train, [params_list[i] for i in chain]):
         scores = predict_scores(model, X_test)
         reports.append(evaluate_all(scores, binarize(scores, model.params.threshold), T_test))
     return reports
@@ -286,16 +286,14 @@ def run_grid(ds: Dataset, params: SchirnParams, k_folds: int, seed: int, alphas,
 
 
 def _grid_fits(params: SchirnParams, alphas, betas, lambdas) -> list:
-    """The grid's cells as params, in the order they run: each (beta, lambda)'s cells in
-    ascending alpha, so that each resumes from the zero-noise prefix of the one before."""
+    """The grid's cells as params, in the order of product(alphas, betas, lambdas)."""
     alphas = DEFAULT_GRID_ALPHA if alphas is None else alphas
     betas = DEFAULT_GRID_BETA if betas is None else betas
     lambdas = DEFAULT_GRID_LAMBDA if lambdas is None else lambdas
     for name, lst in (("alpha", alphas), ("beta", betas), ("lambda", lambdas)):
         if not lst:
             raise ValueError(f"grid list for {name} is empty")
-    cells = sorted(product(alphas, betas, lambdas), key=lambda cell: (cell[1], cell[2], cell[0]))
-    return [replace(params, alpha=a, beta=b, lam=lam) for a, b, lam in cells]
+    return [replace(params, alpha=a, beta=b, lam=lam) for a, b, lam in product(alphas, betas, lambdas)]
 
 
 def _grid_rows(fits, outcomes) -> list[dict]:
@@ -309,12 +307,10 @@ def _grid_rows(fits, outcomes) -> list[dict]:
 
 
 ABLATION_ORDER = (Variant.HIGH_RANK, Variant.NO_RANK, Variant.NO_SPARSITY, Variant.LOW_RANK)
-# no-sparsity right after high-rank resumes from its zero-noise prefix
-_ABLATION_RUN_ORDER = (Variant.HIGH_RANK, Variant.NO_SPARSITY, Variant.NO_RANK, Variant.LOW_RANK)
 
 
 def _ablate_fits(params: SchirnParams) -> list:
-    return [replace(params, variant=v) for v in _ABLATION_RUN_ORDER]
+    return [replace(params, variant=v) for v in ABLATION_ORDER]
 
 
 def run_ablate(ds: Dataset, params: SchirnParams, k_folds: int, seed: int) -> list[dict]:
@@ -324,5 +320,4 @@ def run_ablate(ds: Dataset, params: SchirnParams, k_folds: int, seed: int) -> li
 
 def _ablate_rows(outcomes) -> list[dict]:
     """run_ablate's rows, in ABLATION_ORDER, from the CV outcomes of _ablate_fits."""
-    by_variant = dict(zip(_ABLATION_RUN_ORDER, outcomes))
-    return [{"variant": v.value, "mean": by_variant[v].mean, "std": by_variant[v].std} for v in ABLATION_ORDER]
+    return [{"variant": v.value, "mean": o.mean, "std": o.std} for v, o in zip(ABLATION_ORDER, outcomes)]

@@ -81,6 +81,9 @@ def verify_rank_theorem(n: int, l: int, epsilon: int, trials: int, seed: int) ->
     rank(Y - N) - (min(n, l) - rank(N)). If a trial's Y has fewer than
     epsilon ones the count is reduced to what fits and the result is flagged.
     """
+    for name, value in (("n", n), ("l", l)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     if trials < 1:

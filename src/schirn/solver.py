@@ -64,15 +64,14 @@ cannot cross the larger one. No-sparsity counts as alpha = infinity: its
 C step is high-rank's, and its frozen N = 0 is high-rank's N before
 iteration f. The two runs must agree on every other SchirnParams field
 but threshold (which fit does not read), high-rank and no-sparsity
-counting as one variant. prefix_chains splits a list of fits into runs
-in which each fit repeats its predecessor's prefix, and fit_chain fits
-each such run on one pair of training arrays, each fit resuming from the
-state its predecessor had at f - 1. A run whose N stayed zero hands on
-its final state instead, and its follower takes that result as its own,
-iteration count included: its iterates are the same up to there, so it
-would have stopped there too. Each block returns new arrays and never
-writes into the ones it was given, so a handed-on state holds the
-iterates by reference.
+counting as one variant. prefix_chains groups a list of fits, in any
+order, into chains of fits that agree on all of that, each in ascending
+alpha, and fit_chain fits each chain on one pair of training arrays, each
+fit resuming from the state its predecessor had at f - 1. A predecessor
+whose N stayed zero hands on its state before its last iteration: the
+follower runs that iteration again, with the same bits, and stops where
+it stopped. Each block returns new arrays and never writes into the ones
+it was given, so a handed-on state holds the iterates by reference.
 
 Row blocks. The row-local n x l steps (X W, the N step, the G pull,
 C = G M and the multiplier step) run over blocks of rows, each block on
@@ -315,21 +314,12 @@ class Model:
 
 
 class _Branch(NamedTuple):
-    """An untraced fit's state after its last iteration with N = 0, with its W-step factors.
-
-    N is zero by definition and is not kept. XW, the final X W, is kept only
-    when the fit ended at this state (N stayed zero throughout): a follower
-    then takes this result, final rank included, and runs no iteration.
-    """
+    """Where a fit's loop starts: its state before an iteration, its W-step factors and its X^T
+    products. _start gives a fresh fit's; a follower takes its lead's last one with N = 0."""
 
     eig: EigResult
-    W: np.ndarray
-    C: np.ndarray
-    Lam: np.ndarray
-    mu: float
-    iter: int
+    state: SolverState
     Xt: XtProducts | None
-    XW: np.ndarray | None
 
 
 def _prefix_link(params: SchirnParams) -> tuple:
@@ -345,18 +335,17 @@ def _prefix_link(params: SchirnParams) -> tuple:
     return key, math.inf if no_sparsity else params.alpha
 
 
-def prefix_chains(params_list) -> list[range]:
-    """The prefix chains of a list of fits on the same training arrays, in list order.
-
-    A chain is a maximal run of consecutive entries in which each fit
-    repeats its predecessor's zero-noise prefix (module docstring); the
-    chains can be fitted apart (fit_chain on each) with the same models
-    from the same iterations.
+def prefix_chains(params_list) -> list[list[int]]:
+    """The prefix chains of a list of fits on the same training arrays, as lists of indices: the
+    fits of one _prefix_link key in ascending alpha (ties in list order), so that each repeats its
+    predecessor's zero-noise prefix (module docstring), and the chains in the order of their first
+    fits in the list. fit_chain on each apart gives the same models from the same iterations.
     """
-    links = [_prefix_link(params) for params in params_list]
-    starts = [i for i, (key, alpha) in enumerate(links)
-              if i == 0 or key != links[i - 1][0] or alpha < links[i - 1][1]]
-    return [range(a, b) for a, b in zip(starts, [*starts[1:], len(links)])]
+    chains = {}
+    for i, params in enumerate(params_list):
+        key, alpha = _prefix_link(params)
+        chains.setdefault(key, []).append((alpha, i))
+    return [[i for _, i in sorted(chain)] for chain in chains.values()]
 
 
 def _c_shift_amount(params: SchirnParams, mu: float) -> float:
@@ -679,17 +668,15 @@ def fit_chain(ds, params_list) -> list[Model]:
 
     Within each of prefix_chains(params_list), a fit resumes from the
     zero-noise prefix of the fit before it (module docstring) and skips
-    the W, N, C and multiplier steps of the iterations they share, so list
-    fits that differ only in alpha in ascending alpha. The models share no
-    arrays.
+    the W, N, C and multiplier steps of the iterations they share, in
+    whatever order the list gives the fits. The models share no arrays.
     """
     X, Y = _training_arrays(ds)
-    models = []
+    models = [None] * len(params_list)
     for chain in prefix_chains(params_list):
-        lead = None
+        branch = None
         for i in chain:
-            model, lead = _fit(X, Y, params_list[i], False, lead=lead, keep=i + 1 < chain.stop)
-            models.append(model)
+            models[i], branch = _fit(X, Y, params_list[i], False, start=branch, keep=i != chain[-1])
     return models
 
 
@@ -701,39 +688,39 @@ def _training_arrays(ds) -> tuple[np.ndarray, np.ndarray]:
     return X, Y
 
 
-def _fit(X, Y, params: SchirnParams, traced: bool, lead: _Branch | None = None,
-         keep: bool = False, rows: _Rows = _ONE_BLOCK) -> tuple[Model, _Branch | None]:
-    """The ALM loop of fit and fit_chain: the model and, with ``keep``, its _Branch.
-
-    ``lead`` is the _Branch of an untraced fit on the same X and Y whose
-    zero-noise prefix this one repeats; the loop resumes from it. ``rows``
-    runs the row-local steps over row blocks.
-    """
+def _start(X, Y, params: SchirnParams) -> _Branch:
+    """A fresh fit's _Branch: W and N at zero, C and the multiplier at all-ones."""
     n, d = X.shape
     l = Y.shape[1]
     dual = d > n  # factor the smaller Gram matrix
-    if lead is None:
-        # W and N start at zero, C and the multiplier at all-ones
-        state = SolverState(W=np.zeros((d, l)), N=np.zeros((n, l)), C=np.ones((n, l)), Lam=np.ones((n, l)),
-                            mu=params.mu0)
-        with np.errstate(over="ignore", invalid="ignore"):  # finite features can overflow their Gram
-            gram = _sym_gram(X, dual)
-        # symmetric by construction, so one finiteness check stands in for sym_eig's scans
-        if not np.isfinite(gram).all():
-            raise NumericalError("the Gram matrix of X overflows")
-        eig = _eigh(gram)
-        Xt = XtProducts.start(X, Y, state) if not dual and l <= n else None
-        XW = np.zeros((n, l))  # X @ W for W = 0, the final rank when max_iter = 0
-    else:
-        state = SolverState(W=lead.W, N=np.zeros_like(lead.C), C=lead.C, Lam=lead.Lam, mu=lead.mu, iter=lead.iter)
-        eig, Xt, XW = lead.eig, lead.Xt, lead.XW  # XW is None mid-run: the loop sets it before any use
+    state = SolverState(W=np.zeros((d, l)), N=np.zeros((n, l)), C=np.ones((n, l)), Lam=np.ones((n, l)),
+                        mu=params.mu0)
+    with np.errstate(over="ignore", invalid="ignore"):  # finite features can overflow their Gram
+        gram = _sym_gram(X, dual)
+    # symmetric by construction, so one finiteness check stands in for sym_eig's scans
+    if not np.isfinite(gram).all():
+        raise NumericalError("the Gram matrix of X overflows")
+    return _Branch(_eigh(gram), state, XtProducts.start(X, Y, state) if not dual and l <= n else None)
+
+
+def _fit(X, Y, params: SchirnParams, traced: bool, start: _Branch | None = None,
+         keep: bool = False, rows: _Rows = _ONE_BLOCK) -> tuple[Model, _Branch | None]:
+    """The ALM loop of fit and fit_chain, from ``start`` (a fresh fit's _start when None), whose
+    state and X^T products it takes over. Returns the model and, with ``keep``, the _Branch
+    before its last iteration with N = 0 (None if no iteration ran): a fit whose zero-noise
+    prefix repeats this one's may start there. ``rows`` runs the row-local steps in row blocks.
+    """
+    n, d = X.shape
+    l = Y.shape[1]
+    dual = d > n
+    eig, state, Xt = start or _start(X, Y, params)
     R = np.linalg.qr(X, mode="r") if traced and _nuclear_sign(params.variant) != 0.0 else None
     report = FitReport()
-    # a finished lead's stop is this fit's stop: its next iteration would be one too many
-    end = state.iter if lead is not None and lead.XW is not None else params.max_iter
-    for _ in range(state.iter, end):
+    branch = None
+    XW = np.zeros((n, l))  # X @ W for W = 0: the final rank of a fresh fit that runs no iteration
+    for _ in range(state.iter, params.max_iter):
         if keep and report.first_noise_iter is None:
-            clean = state.W, state.C, state.Lam, state.mu, state.iter, Xt and replace(Xt)  # before this iteration
+            branch = _Branch(eig, replace(state), Xt and replace(Xt))  # before this iteration
         state.W = W = update_w(state, X, params, eig=eig, dual=dual, Xt=Xt)
         XW = rows.build(lambda out, X: np.matmul(X, W, out=out), (n, l), X)
         state.N = update_n(state, Y, params, Xt=Xt, rows=rows)
@@ -756,12 +743,7 @@ def _fit(X, Y, params: SchirnParams, traced: bool, lead: _Branch | None = None,
 
     report.iterations_run = state.iter
     report.final_rank_XW = numerical_rank(XW)
-    model = Model(W=state.W, params=params, report=report, noise=state.N)
-    if not keep:
-        return model, None
-    if report.first_noise_iter is None:  # finished at the branch state; W is copied because the model holds it
-        return model, _Branch(eig, state.W.copy(), state.C, state.Lam, state.mu, state.iter, Xt, XW)
-    return model, _Branch(eig, *clean, None)
+    return Model(W=state.W, params=params, report=report, noise=state.N), branch
 
 
 def predict_scores(model: Model, X_test) -> np.ndarray:

@@ -8,7 +8,7 @@ learnable by a linear model, which is what the solver-facing tests need.
 
 import numpy as np
 
-from schirn import Dataset, NoiseSpec, inject_noise
+from schirn import Dataset, NoiseSpec, inject_noise, solver
 from schirn.linalg import numerical_rank
 
 
@@ -28,3 +28,16 @@ def make_synth(n, d, l, r, seed, noise_scale=0.35, rate_lo=0.25, rate_hi=0.45):
     X = Y_true @ V + noise_scale * rng.standard_normal((n, d))
     Y = inject_noise(Y_true, NoiseSpec(r=r, seed=seed + 1000))
     return Dataset(X=X, Y=Y, Y_true=Y_true), Y - Y_true
+
+
+def count_w_steps(mp) -> list:
+    """Makes ``mp`` (a MonkeyPatch) log each solver.update_w call; returns the log."""
+    calls = []
+    update_w = solver.update_w
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return update_w(*args, **kwargs)
+
+    mp.setattr(solver, "update_w", counted)
+    return calls

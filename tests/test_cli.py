@@ -546,6 +546,47 @@ class TestOutIsAFile:
         assert out.read_text() == "kept\n"
 
 
+class TestOutFile:
+    """inject, eval, rank-report and theorem-check write one file: --out naming a directory exits
+    2 before any work, and its missing parent directories are made."""
+
+    @pytest.fixture
+    def commands(self, synth_files, tmp_path):
+        """Each command's arguments besides --out, and the function that starts its work."""
+        paths, _ = synth_files
+        assert main(["fit", "--features", str(paths["features"]), "--labels", str(paths["labels"]),
+                     "--max-iter", "5", "--out", str(tmp_path / "model")]) == 0
+        data = ["--features", str(paths["features"]), "--labels", str(paths["labels"])]
+        return {
+            "inject": (["--truth", str(paths["truth"]), "--r", "1"], "load_matrix"),
+            "eval": (["--scores", str(paths["labels"]), "--truth", str(paths["truth"])], "load_matrix"),
+            "rank-report": (["--model", str(tmp_path / "model"), *data], "load_model"),
+            "theorem-check": (["--n", "6", "--l", "4", "--epsilon", "2", "--trials", "3"], "verify_rank_theorem"),
+        }
+
+    @pytest.mark.parametrize("command", ["inject", "eval", "rank-report", "theorem-check"])
+    def test_a_directory_exits_2_before_any_work(self, commands, tmp_path, monkeypatch, capsys, command):
+        args, work = commands[command]
+
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{command} started its work")
+
+        monkeypatch.setattr(cli, work, no_work)
+        out = tmp_path / "taken"
+        out.mkdir()
+        assert main([command, *args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --out {out} is a directory\n"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["inject", "eval", "rank-report", "theorem-check"])
+    def test_missing_parent_directories_are_made(self, commands, tmp_path, command):
+        args, _ = commands[command]
+        assert main([command, *args, "--out", str(tmp_path / "here.out")]) == 0
+        out = tmp_path / "new" / "deeper" / "here.out"
+        assert main([command, *args, "--out", str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / "here.out").read_bytes()
+
+
 class TestRankReportCmd:
     def test_filter_empty_truth_changes_ranks(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -594,6 +635,14 @@ class TestTheoremCheckCmd:
         payload = json.loads(out.read_text())
         assert payload["violations"] == 0
         assert payload["trials"] == 50
+
+    @pytest.mark.parametrize("name, value", [("n", "0"), ("l", "-2")])
+    def test_shape_below_one_exits_2(self, tmp_path, capsys, name, value):
+        args = {"n": "5", "l": "4", name: value}
+        assert main(["theorem-check", "--n", args["n"], "--l", args["l"], "--epsilon", "2",
+                     "--out", str(tmp_path / "thm.json")]) == 2
+        assert capsys.readouterr().err == f"error: {name} must be >= 1, got {value}\n"
+        assert not (tmp_path / "thm.json").exists()
 
     def test_deterministic_bytes(self, tmp_path):
         args = ["theorem-check", "--n", "10", "--l", "8", "--epsilon", "2",

@@ -28,7 +28,7 @@ from schirn.data import save_matrix
 from schirn.linalg import NumericalError
 from schirn.metrics import evaluate_all
 from schirn.solver import binarize, fit, predict_scores
-from synthdata import make_synth
+from synthdata import count_w_steps, make_synth
 
 
 def serial_run_cvs(ds, params_list, k_folds, seed, workers=None):
@@ -89,7 +89,7 @@ class TestWorkersMatchTheSerialRunner:
     def test_each_solver_route(self, shape):
         # 3 folds train on 2/3 of the rows: d > n for dual-w, l > n for wide-c
         ds, _ = make_synth(*shape, r=1, seed=1)
-        chain = [replace(SchirnParams(), variant=v) for v in cv._ABLATION_RUN_ORDER]
+        chain = [replace(SchirnParams(), variant=v) for v in cv.ABLATION_ORDER]
         assert cv._run_cvs(ds, chain, 3, 0) == serial_run_cvs(ds, chain, 3, 0)
 
     def test_candidate_target(self):
@@ -127,12 +127,29 @@ def test_fold_body_in_process():
 
 
 def test_units_are_the_prefix_chains_of_each_fold():
-    # ablate: [high-rank, no-sparsity], [no-rank], [low-rank]; grid: one chain per (beta, lambda)
-    ablate_chains = [range(0, 2), range(2, 3), range(3, 4)]
+    # ablate: [high-rank, no-sparsity], [no-rank], [low-rank]; grid: one chain per (beta, lambda),
+    # cell (a, b, l) at 4 a + 2 b + l, in ascending alpha (0.5, 0.5, 1.0, 1.5)
+    ablate_chains = [[0, 2], [1], [3]]
     assert cv._units(2, cv._ablate_fits(BASE)) == [(fold, c) for fold in (0, 1) for c in ablate_chains]
     grid = cv._grid_fits(BASE, [1.5, 0.5, 1.0, 0.5], [0.05, 0.1], [10.0, 100.0])
-    assert cv._units(1, grid) == [(0, range(i, i + 4)) for i in range(0, 16, 4)]
-    assert cv._units(3, [BASE]) == [(fold, range(0, 1)) for fold in range(3)]
+    assert cv._units(1, grid) == [(0, [4 + j, 12 + j, 8 + j, j]) for j in range(4)]
+    assert cv._units(3, [BASE]) == [(fold, [0]) for fold in range(3)]
+
+
+@pytest.mark.parametrize("fits, steps", [
+    ([SchirnParams()], 300),
+    (cv._grid_fits(SchirnParams(), [1.5, 0.5, 1.0, 0.5], [0.05, 0.5], [10.0]), 1185),
+    (cv._ablate_fits(SchirnParams()), 972),
+], ids=["cv", "grid", "ablate"])
+def test_counted_work(monkeypatch, fits, steps):
+    # the W steps of every unit of a 3-fold run, of 100 per fit without prefix sharing; a
+    # change that shares less, or fits more, fails here
+    ds, _ = make_synth(60, 8, 6, r=1, seed=0)
+    shared = (ds, kfold_split(ds.n, 3, seed=1), fits)
+    w_steps = count_w_steps(monkeypatch)
+    for fold, chain in cv._units(3, fits):
+        cv._unit_reports(shared, fold, chain)
+    assert len(w_steps) == steps
 
 
 def test_module_entry_point(tmp_path, synth_files):
@@ -299,7 +316,7 @@ unit_reports = cv._unit_reports
 
 def logged(shared, fold, chain):
     with open(LOG, "a") as fh:
-        print(f"{fold}:{chain.start}", file=fh)
+        print(f"{fold}:{chain[0]}", file=fh)
     return unit_reports(shared, fold, chain)
 
 cv.fit_chain, cv._unit_reports = fit_chain, logged

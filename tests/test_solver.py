@@ -22,7 +22,7 @@ from schirn.solver import (
     update_n,
     update_w,
 )
-from synthdata import make_synth
+from synthdata import count_w_steps, make_synth
 from test_linalg import shrink
 
 
@@ -821,19 +821,6 @@ _CHAIN_PARAMS = st.builds(
 _ROUTES = pytest.mark.parametrize("shape", [(60, 8, 6), (30, 40, 6), (20, 6, 30)], ids=["primal", "dual-w", "wide-c"])
 
 
-def count_w_steps(mp) -> list:
-    """Makes ``mp`` (a MonkeyPatch) log each update_w call; returns the log."""
-    calls = []
-    update_w = solver.update_w
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return update_w(*args, **kwargs)
-
-    mp.setattr(solver, "update_w", counted)
-    return calls
-
-
 @pytest.fixture
 def w_steps(monkeypatch):
     return count_w_steps(monkeypatch)
@@ -841,9 +828,9 @@ def w_steps(monkeypatch):
 
 def skipped_w_steps(chain_models) -> int:
     """The W steps a chain skips, from its from-scratch models: each follower starts from its
-    predecessor's state before the first iteration with noise, or from its final state if
+    predecessor's state before the first iteration with noise, or before its last iteration if
     there is none."""
-    return sum(m.report.first_noise_iter - 1 if m.report.first_noise_iter else m.report.iterations_run
+    return sum(m.report.first_noise_iter - 1 if m.report.first_noise_iter else m.report.iterations_run - 1
                for m in chain_models[:-1])
 
 
@@ -857,7 +844,7 @@ class TestSharedPrefix:
     def test_chain_equals_fits_from_scratch(self, shape, params_list):
         ds, _ = make_synth(*shape, r=1, seed=0)
         chains = solver.prefix_chains(params_list)
-        assert all(chains) and [i for chain in chains for i in chain] == list(range(len(params_list)))
+        assert all(chains) and sorted(i for chain in chains for i in chain) == list(range(len(params_list)))
         with pytest.MonkeyPatch.context() as mp:
             steps = count_w_steps(mp)
             direct = [fit(ds, params, trace="none") for params in params_list]
@@ -867,12 +854,12 @@ class TestSharedPrefix:
         for a, b in zip(chained, direct, strict=True):
             assert_same_fit(a, b)
         assert scratch_steps == sum(m.report.iterations_run for m in direct)
-        assert len(steps) == scratch_steps - sum(skipped_w_steps(direct[c.start:c.stop]) for c in chains)
+        assert len(steps) == scratch_steps - sum(skipped_w_steps([direct[i] for i in c]) for c in chains)
 
     @pytest.mark.parametrize("tol", [0.5, 0.2, 0.05, 1e-3])
     def test_no_sparsity_after_a_lead_without_noise(self, tol):
-        # high-rank at alpha=100 never has noise; at tol >= 0.05 it stops on tol,
-        # and resuming the loop from that stop would run one iteration too many
+        # high-rank at alpha=100 never has noise; at tol >= 0.05 it stops on tol, and
+        # no-sparsity runs its last iteration again and stops there too
         ds, _ = make_synth(60, 8, 6, r=1, seed=0)
         lead = default_params(alpha=100.0, tol=tol)
         params_list = [lead, replace(lead, variant=Variant.NO_SPARSITY)]
@@ -899,29 +886,49 @@ class TestSharedPrefix:
         assert len(w_steps) == 100 + (100 - (first - 1)) + (100 - (second - 1))
 
     @pytest.mark.parametrize("change", [
-        dict(alpha=0.4), dict(beta=0.06), dict(lam=9.0), dict(mu0=2e-4), dict(rho=1.2), dict(mu_max=5.0),
+        dict(beta=0.06), dict(lam=9.0), dict(mu0=2e-4), dict(rho=1.2), dict(mu_max=5.0),
         dict(max_iter=99), dict(tol=1e-9), dict(c_shift="derived"),
         dict(variant=Variant.NO_RANK), dict(variant=Variant.LOW_RANK),
     ], ids=repr)
     def test_starts_over_when_the_prefix_may_differ(self, change, w_steps):
         ds, _ = make_synth(60, 8, 6, r=1, seed=0)
         params_list = [default_params(alpha=0.5), default_params(**{"alpha": 1.0, **change})]
-        assert solver.prefix_chains(params_list) == [range(0, 1), range(1, 2)]
+        assert solver.prefix_chains(params_list) == [[0], [1]]
         models = solver.fit_chain(ds, params_list)
         assert len(w_steps) == 100 + params_list[1].max_iter
         assert_same_fit(models[1], fit(ds, params_list[1], trace="none"))
 
-    def test_starts_over_on_alpha_order(self, w_steps):
+    def test_chains_in_alpha_order(self, w_steps):
         ds, _ = make_synth(60, 8, 6, r=1, seed=0)
         params_list = [
             default_params(alpha=0.5),
-            default_params(variant=Variant.NO_SPARSITY),  # resumes
-            default_params(alpha=2.0),  # no-sparsity counts as alpha = infinity
+            default_params(variant=Variant.NO_SPARSITY),  # no-sparsity counts as alpha = infinity
+            default_params(alpha=2.0),
             default_params(alpha=1.0),
         ]
-        assert solver.prefix_chains(params_list) == [range(0, 2), range(2, 3), range(3, 4)]
+        assert solver.prefix_chains(params_list) == [[0, 3, 2, 1]]
         models = solver.fit_chain(ds, params_list)
-        assert len(w_steps) == 4 * 100 - (models[0].report.first_noise_iter - 1)
+        assert len(w_steps) == 4 * 100 - skipped_w_steps([models[i] for i in (0, 3, 2, 1)])
+        for model, params in zip(models, params_list, strict=True):
+            assert_same_fit(model, fit(ds, params, trace="none"))
+
+    @pytest.mark.parametrize("params_list, chains", [
+        ([default_params(alpha=0.5), default_params(alpha=0.4)], [[1, 0]]),
+        # two chains interleaved, alphas out of order, a duplicate alpha, no-sparsity first
+        ([default_params(variant=Variant.NO_SPARSITY), default_params(alpha=1.0), default_params(alpha=0.5, beta=0.5),
+          default_params(alpha=0.5), default_params(alpha=0.3, beta=0.5), default_params(alpha=0.4),
+          default_params(alpha=0.5)], [[5, 3, 6, 1, 0], [4, 2]]),
+    ], ids=["two", "interleaved"])
+    def test_any_order_runs_the_work_of_the_sorted_list(self, params_list, chains, w_steps):
+        ds, _ = make_synth(60, 8, 6, r=1, seed=0)
+        assert solver.prefix_chains(params_list) == chains
+        models = solver.fit_chain(ds, params_list)
+        shuffled_steps = len(w_steps)
+        w_steps.clear()
+        ordered = [params_list[i] for chain in chains for i in chain]
+        assert len(solver.prefix_chains(ordered)) == len(chains)
+        solver.fit_chain(ds, ordered)
+        assert shuffled_steps == len(w_steps) < 100 * len(params_list)
         for model, params in zip(models, params_list, strict=True):
             assert_same_fit(model, fit(ds, params, trace="none"))
 
