@@ -211,18 +211,29 @@ _CONVENTIONS = {
 }
 
 
+def _out_path(v: dict) -> Path:
+    """--out, whose missing parent directories a command makes when it writes; checked before any
+    work: its nearest existing ancestor must be a directory."""
+    out = Path(v["out"])
+    for parent in out.parents:
+        if parent.exists():
+            if not parent.is_dir():
+                raise NotADirectoryError(f"--out {out}: {parent} exists and is not a directory")
+            break
+    return out
+
+
 def _out_dir(v: dict) -> Path:
     """--out as the directory a command writes into; checked before any work."""
-    out_dir = Path(v["out"])
+    out_dir = _out_path(v)
     if out_dir.exists() and not out_dir.is_dir():
         raise NotADirectoryError(f"--out {out_dir} exists and is not a directory")
     return out_dir
 
 
 def _out_file(v: dict) -> Path:
-    """--out as the file a command writes; checked before any work. Its missing parent
-    directories are made when it is written."""
-    out = Path(v["out"])
+    """--out as the file a command writes; checked before any work."""
+    out = _out_path(v)
     if out.is_dir():
         raise IsADirectoryError(f"--out {out} is a directory")
     return out

@@ -27,8 +27,10 @@ W -> N -> C -> multiplier -> penalty:
 
 Each iteration forms XW = X W once, right after the W step, and hands it to
 the C step, the multiplier step, the residual and the objective. The
-objective's nuclear norm ||XW||_* is taken from the singular values of R W,
-where X = QR is a reduced QR factorization computed once per fit.
+objective's nuclear norm ||XW||_* comes from the W step's eigendecomposition
+X^T X = Q diag(e) Q^T: XW and diag(sqrt(e)) Q^T W have the same singular
+values, and the latter is only d x l, so fit factors X once. The dual route
+(d > n), whose eigendecomposition is of X X^T, takes them from XW itself.
 
 When d <= n and l <= n, the W step works in d x l space: fit keeps four
 products of X^T with the n x l iterates (XtProducts), each maintained by
@@ -50,9 +52,9 @@ counterparts up to rounding, so W moves in its last digits against the
 n-space route while N, which depends on W only through thresholds,
 is in practice unchanged.
 
-fit(..., trace="none") skips the diagnostics: no objective, no stored
-residual and no QR factor. The residual is still formed when tol > 0,
-because the early stop reads it.
+fit(..., trace="none") skips the diagnostics: no objective and no stored
+residual. The residual is still formed when tol > 0, because the early stop
+reads it.
 
 Shared prefixes. While N = 0, alpha has no effect on the iterates: it
 enters only the N step's threshold, and a zero N adds alpha * 0 = 0 to the
@@ -411,13 +413,10 @@ class _Rows:
 
     def build(self, step, shape, *arrays) -> np.ndarray:
         """A new array of ``shape`` whose rows in each block ``step(out, *blocks)`` writes into ``out``,
-        a view of those rows, from ``blocks``, the same rows of each of ``arrays``. With one block
-        the result is ``step(None, *arrays)``, which returns a new array.
+        a view of those rows, from ``blocks``, the same rows of each of ``arrays``.
 
         Every block has finished when this returns or raises; of several errors, the first block's.
         """
-        if self._pool is None:
-            return step(None, *arrays)
         out = np.empty(shape)
         first, *others = self.blocks
         futures = [self._pool.submit(step, out[r], *(a[r] for a in arrays)) for r in others]
@@ -486,8 +485,6 @@ def update_n(state: SolverState, Y: np.ndarray, params: SchirnParams, Xt=None, r
             # shrink(Y - C, alpha/2) > 0 exactly where Y - C > alpha/2; N <= Y keeps the candidates
             noisy = Y - C > half
             noisy &= Y == 1.0
-            if out is None:
-                return noisy.astype(np.float64)
             np.copyto(out, noisy)
 
         N = rows.build(step, Y.shape, Y, state.C)
@@ -608,10 +605,9 @@ def update_lagrange(state: SolverState, X: np.ndarray, params: SchirnParams, XW=
     mu = state.mu
 
     def step(out, XW, C, Lam):
-        out = np.subtract(XW, C, out=out)
+        np.subtract(XW, C, out=out)
         out *= mu
         out += Lam
-        return out
 
     new_lam = rows.build(step, state.Lam.shape, XW, state.C, state.Lam)
     if Xt is not None:
@@ -620,16 +616,19 @@ def update_lagrange(state: SolverState, X: np.ndarray, params: SchirnParams, XW=
     return new_lam, new_mu
 
 
-def objective(state: SolverState, X: np.ndarray, Y: np.ndarray, params: SchirnParams, XW=None, R=None) -> float:
+def objective(state: SolverState, X: np.ndarray, Y: np.ndarray, params: SchirnParams, XW=None, eig=None) -> float:
     """Value of the un-augmented objective at the current state.
 
     The nuclear term enters with the variant's sign: negative (maximize) for
     high-rank and no-sparsity, positive for low-rank, absent for no-rank.
-    ``XW`` is an optional precomputed X @ state.W. ``R`` is the triangular
-    factor of a reduced QR factorization X = QR (computed here when not
-    given): Q has orthonormal columns, so ||XW||_* is the sum of the
-    singular values of the small R W (min(n, d) x l), with no squaring of
-    its condition number.
+    ``XW`` is an optional precomputed X @ state.W. ``eig`` is an optional
+    eigendecomposition X^T X = Q diag(e) Q^T (the W step's); ||XW||_* is
+    then the sum of the singular values of the d x l diag(sqrt(e)) Q^T W,
+    with e clamped at zero, else of XW. In X's weak directions sqrt(e) is
+    off by up to about sqrt(eps) ||X||_2 (update_c's Gram-versus-QR
+    trade-off); a W step damps W there by 1 / (mu e + 2 lam), and for its W
+    the sum stayed within 4e-13 of ||XW||_* for cond(X) up to 1e10, where
+    a random W with l >= d/2 can be 1e-8 off.
     """
     if XW is None:
         XW = X @ state.W
@@ -639,9 +638,8 @@ def objective(state: SolverState, X: np.ndarray, Y: np.ndarray, params: SchirnPa
     sign = _nuclear_sign(params.variant)
     rank_term = 0.0
     if sign != 0.0:
-        if R is None:
-            R = np.linalg.qr(X, mode="r")
-        rank_term = sign * params.beta * float(np.linalg.svd(R @ state.W, compute_uv=False).sum())
+        P = XW if eig is None else np.sqrt(np.maximum(eig.eigenvalues, 0.0))[:, None] * (eig.Q.T @ state.W)
+        rank_term = sign * params.beta * float(np.linalg.svd(P, compute_uv=False).sum())
     return fit_term + sparsity_term + rank_term + ridge_term
 
 
@@ -714,7 +712,6 @@ def _fit(X, Y, params: SchirnParams, traced: bool, start: _Branch | None = None,
     l = Y.shape[1]
     dual = d > n
     eig, state, Xt = start or _start(X, Y, params)
-    R = np.linalg.qr(X, mode="r") if traced and _nuclear_sign(params.variant) != 0.0 else None
     report = FitReport()
     branch = None
     XW = np.zeros((n, l))  # X @ W for W = 0: the final rank of a fresh fit that runs no iteration
@@ -731,7 +728,7 @@ def _fit(X, Y, params: SchirnParams, traced: bool, start: _Branch | None = None,
             report.first_noise_iter = state.iter
 
         if traced:
-            report.objective_trace.append(objective(state, X, Y, params, XW=XW, R=R))
+            report.objective_trace.append(objective(state, X, Y, params, XW=XW, eig=None if dual else eig))
         if traced or params.tol > 0:
             residual = float(
                 np.linalg.norm(XW - state.C, "fro") / max(1.0, np.linalg.norm(state.C, "fro"))

@@ -519,31 +519,50 @@ class TestPrefixSharingMatchesSerialRunners:
             assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
 
 
-class TestOutIsAFile:
-    """--out naming an existing regular file exits 2 with an error line, before any work."""
+def forbid_work(monkeypatch, command, work):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{command} started its work")
 
-    @pytest.mark.parametrize("command", ["fit", "predict", "cv", "grid", "ablate"])
-    def test_exits_2_before_any_work(self, synth_files, tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setattr(cli, work, no_work)
+
+
+class TestOutIsAFile:
+    """--out naming an existing regular file, or a path below one, exits 2 with an error line, before
+    any work."""
+
+    @pytest.fixture
+    def commands(self, synth_files, tmp_path):
+        """Each directory command's arguments besides --out, and the function that starts its work."""
         paths, _ = synth_files
         data = ["--features", str(paths["features"]), "--labels", str(paths["labels"])]
-        if command == "predict":
-            assert main(["fit", *data, "--max-iter", "5", "--out", str(tmp_path / "model")]) == 0
-            args = ["predict", "--model", str(tmp_path / "model"), "--features", str(paths["features"])]
-            work = "load_model"
-        else:
+        assert main(["fit", *data, "--max-iter", "5", "--out", str(tmp_path / "model")]) == 0
+        commands = {"predict": (["predict", "--model", str(tmp_path / "model"), "--features",
+                                 str(paths["features"])], "load_model")}
+        for command in ["fit", "cv", "grid", "ablate"]:
             folds = [] if command == "fit" else ["--folds", "2"]
-            args = [command, *data, "--max-iter", "5", *folds]
-            work = "_load_experiment_dataset"
+            commands[command] = ([command, *data, "--max-iter", "5", *folds], "_load_experiment_dataset")
+        return commands
 
-        def no_work(*args, **kwargs):
-            raise AssertionError(f"{command} started its work")
-
-        monkeypatch.setattr(cli, work, no_work)
+    @pytest.mark.parametrize("command", ["fit", "predict", "cv", "grid", "ablate"])
+    def test_exits_2_before_any_work(self, commands, tmp_path, monkeypatch, capsys, command):
+        args, work = commands[command]
+        forbid_work(monkeypatch, command, work)
         out = tmp_path / "taken.txt"
         out.write_text("kept\n")
         assert main([*args, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: --out {out} exists and is not a directory\n"
         assert out.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", ["fit", "cv"])
+    def test_a_file_above_exits_2_before_any_work(self, commands, tmp_path, monkeypatch, capsys, command):
+        args, work = commands[command]
+        forbid_work(monkeypatch, command, work)
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken / "deeper" / "model"
+        assert main([*args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --out {out}: {taken} exists and is not a directory\n"
+        assert taken.read_text() == "kept\n"
 
 
 class TestOutFile:
@@ -567,16 +586,24 @@ class TestOutFile:
     @pytest.mark.parametrize("command", ["inject", "eval", "rank-report", "theorem-check"])
     def test_a_directory_exits_2_before_any_work(self, commands, tmp_path, monkeypatch, capsys, command):
         args, work = commands[command]
-
-        def no_work(*args, **kwargs):
-            raise AssertionError(f"{command} started its work")
-
-        monkeypatch.setattr(cli, work, no_work)
+        forbid_work(monkeypatch, command, work)
         out = tmp_path / "taken"
         out.mkdir()
         assert main([command, *args, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: --out {out} is a directory\n"
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["inject", "theorem-check"])
+    @pytest.mark.parametrize("below", [["t.json"], ["deeper", "t.json"]], ids=["child", "grandchild"])
+    def test_a_file_above_exits_2_before_any_work(self, commands, tmp_path, monkeypatch, capsys, command, below):
+        args, work = commands[command]
+        forbid_work(monkeypatch, command, work)
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken.joinpath(*below)
+        assert main([command, *args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --out {out}: {taken} exists and is not a directory\n"
+        assert taken.read_text() == "kept\n"
 
     @pytest.mark.parametrize("command", ["inject", "eval", "rank-report", "theorem-check"])
     def test_missing_parent_directories_are_made(self, commands, tmp_path, command):

@@ -2,6 +2,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -521,6 +522,33 @@ class TestObjective:
             )
             assert objective(state, X, Y, params) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("cond", [1.0, 1e3, 1e6, 1e10, None],
+                             ids=["cond-1", "cond-1e3", "cond-1e6", "cond-1e10", "duplicate-columns"])
+    @pytest.mark.parametrize("shape", [(60, 12, 5), (40, 12, 30)], ids=["l<d", "l>d"])
+    def test_nuclear_norm_from_the_w_steps_eigenpairs(self, cond, shape):
+        # fit's report takes ||XW||_* from diag(sqrt(e)) Q^T W, with X^T X = Q diag(e) Q^T; here
+        # for a W of the W step, as fit hands on, against the singular values of X W itself
+        n, d, l = shape
+        rng = np.random.default_rng(7)
+        if cond is None:
+            X = rng.standard_normal((n, d))
+            X[:, d // 2:] = X[:, :d // 2]
+        else:
+            U, _ = np.linalg.qr(rng.standard_normal((n, d)))
+            V, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            X = (U * np.geomspace(1.0, 1.0 / cond, d)) @ V.T
+        eig = solver._start(X, np.zeros((n, l)), default_params()).eig
+        if cond is None:
+            assert eig.eigenvalues.min() < 0.0  # rounding puts null eigenvalues of X^T X below zero too
+        state = random_state(rng, n, d, l)
+        state.W = update_w(state, X, default_params(), eig=eig)
+        state.N = np.zeros((n, l))
+        XW = X @ state.W
+        expected = np.linalg.svd(XW, compute_uv=False).sum()
+        # with Y = X W, N = 0 and a vanishing ridge weight, the objective is -||XW||_*
+        params = default_params(beta=1.0, lam=1e-300)
+        assert abs(objective(state, X, XW, params, XW=XW, eig=eig) + expected) <= 1e-12 * expected
+
 
 class TestFit:
     def test_zero_iterations(self):
@@ -551,6 +579,18 @@ class TestFit:
         assert model.report.iterations_run == 17
         assert len(model.report.objective_trace) == 17
         assert len(model.report.primal_residual_trace) == 17
+
+    def test_traced_fit_allocates_no_copy_of_x(self):
+        # the report's nuclear norm comes from the W step's eigenpairs, so no second factor of a
+        # tall X is formed: at its peak a traced fit holds far less new memory than X
+        ds, _ = make_synth(8000, 400, 5, r=1, seed=0)
+        tracemalloc.start()
+        try:
+            fit(ds, default_params(max_iter=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ds.X.nbytes
 
     def test_deterministic_bit_identical(self):
         ds, _ = make_synth(40, 6, 5, r=1, seed=2)
@@ -685,14 +725,20 @@ def reference_fit(ds, params):
 
 
 class TestFitMatchesReferenceLoop:
-    """fit (one X @ W per iteration, Gram-eigh C step, R W nuclear norm) against reference_fit."""
+    """fit (one X @ W per iteration, Gram-eigh C step, the nuclear norm from the W step's
+    eigenpairs, no QR of X) against reference_fit."""
 
     @pytest.mark.parametrize("shape", [(40, 6, 5), (20, 50, 5), (8, 4, 12)],
                              ids=["d<n", "d>n", "l>n"])
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
-    def test_same_iterates(self, shape, variant):
+    def test_same_iterates(self, monkeypatch, shape, variant):
         ds, _ = make_synth(*shape, r=1, seed=0)
         params = default_params(alpha=0.5, beta=0.5, lam=10.0, variant=variant)
+
+        def no_qr(*args, **kwargs):
+            raise AssertionError("fit factors X a second time")
+
+        monkeypatch.setattr(np.linalg, "qr", no_qr)
         model = fit(ds, params)
         W, N, objectives, residuals = reference_fit(ds, params)
         if variant is not Variant.NO_SPARSITY:
