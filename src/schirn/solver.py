@@ -72,25 +72,43 @@ alpha, and fit_chain fits each chain on one pair of training arrays, each
 fit resuming from the state its predecessor had at f - 1. A predecessor
 whose N stayed zero hands on its state before its last iteration: the
 follower runs that iteration again, with the same bits, and stops where
-it stopped. Each block returns new arrays and never writes into the ones
-it was given, so a handed-on state holds the iterates by reference.
+it stopped. The loop writes its iterates into arrays it owns (Row blocks
+below), but no step writes into the C, multiplier or X^T products of the
+state before an iteration, so that state stands until the iteration ends.
+A lead copies the state it hands on once, when noise enters its N; one
+whose N stayed zero is done with the arrays when it hands them on.
 
-Row blocks. The row-local n x l steps (X W, the N step, the G pull,
-C = G M and the multiplier step) run over blocks of rows, each block on
-its own thread (_Rows). Everything else stays whole-matrix: the W step
-(dual route included), the Gram matrices and their eigendecompositions,
-the X^T products, change_noise, the wide C step M G and every reduction
-(N.any, the norms, the objective). An elementwise step computes each
-entry from the same operands whatever the blocks. The products X W and
-G M keep their bits too, as long as blocks start at multiples of
-_ROW_ALIGN rows and are not so small that BLAS computes them with other
-kernels than the whole product (see _ROW_ALIGN and _SMALL_GEMM). So W, N
-and both traces are bit-identical to one block, which is the serial loop.
-fit uses up to one block per usable CPU, as long as every block holds at
-least _ROW_FLOOR entries of the n x l iterates and more than _SMALL_GEMM
-multiply-adds in each product, whatever the BLAS thread count (a
-multi-threaded BLAS ran fit-tall's loop as fast on two blocks as on one);
-fit_chain always uses one, because its callers already run one fit per CPU.
+Row blocks. After the W step, each iteration of fit is two parallel phases
+over blocks of rows, with only l x l work between them:
+
+    phase A  per block: X W, the N step, the block's part of X^T N's
+             change (its changed rows), the pull G, and the partials
+             G^T G and max |G| of the C step's Gram matrix;
+    between  the Gram parts summed in block order, its eigendecomposition
+             and the map M;
+    phase B  per block: C = G M, the multiplier step and, when traced or
+             tol > 0, the partial sums ||XW - C||^2, ||C||^2,
+             ||XW - Y + N||^2 and sum N of the residual and the objective;
+             beside the blocks, on the calling thread, the d x l work that
+             phase B does not need: X^T N, X^T C, X^T Lam and the
+             objective's nuclear term.
+
+The layout comes from the shape (n, d, l) alone (_row_blocks): blocks of
+about 2^16 entries of the n x l iterates or more, starting at multiples of
+48 rows, so one block below 2^17 entries and on the dual (d > n) and wide
+(l > n) routes. Threads take whole blocks and every partial is summed in
+block order, so the bytes of a fit depend on neither the CPU count nor on
+which thread ran a block (fixed-order blocked sums are reproducible:
+Demmel and Nguyen, "Parallel reproducible summation", IEEE TC 2015). fit
+runs the blocks on up to one thread per usable CPU, fit_chain on one,
+because its callers already run one fit per CPU; so fit_chain equals
+fit(trace="none") by construction. One block is the public update_* and
+objective composed, bit for bit in W, N and the residual; blocks move W
+and the traces in their last digits only, through the blocked sums. The
+n x l iterates live in buffers the loop allocates once: after the first
+iteration of the primal route it allocates no n x l array of floats, only
+a block's boolean masks and the indices of entries N changed (the dual W
+step still forms its n-space right-hand side).
 
 Ablation variants: "high-rank" is the full method; "no-rank" drops the
 nuclear term (C = G); "no-sparsity" keeps the high-rank term but freezes
@@ -101,6 +119,7 @@ shrunk instead of inflated.
 import enum
 import math
 import os
+import threading
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -134,16 +153,12 @@ C_SHIFT_CONVENTIONS = ("paper", "derived")
 TRACE_LEVELS = ("none", "residual")
 # C step: Gram eigenvalues below this fraction of the largest take sigma from ||G v||
 _WEAK_EIG = 1e-4
-# the fewest n x l entries in a row block of fit: below it a thread hand-off costs more than the
-# block's share of an iteration
-_ROW_FLOOR = 1 << 17
-# the most multiply-adds of a product that OpenBLAS may compute with its small-matrix kernel
-# (SkylakeX), which sums in another order; each block of fit's X W (rows d l) and G M (rows l l)
-# does more, so it runs on the kernel of the whole product
-_SMALL_GEMM = 10**6
-# row blocks start at multiples of this many rows. OpenBLAS computes a product's rows in groups
-# whose edge kernels sum in another order, so a block that starts inside a group can change the
-# last bits of X W and G M; on SkylakeX only starts at multiples of 24 kept every bit.
+# fit's row blocks hold at least about this many entries of the n x l iterates (_row_blocks): fewer
+# make each block's share of an iteration small against a thread hand-off
+_BLOCK_ENTRIES = 1 << 16
+# row blocks start at multiples of this many rows: on OpenBLAS's SkylakeX kernels the rows of X W and
+# G M then keep the bits of the whole product, so the blocks change only the blocked sums; the bytes
+# of a fit depend on the layout, never on which thread ran a block
 _ROW_ALIGN = 48
 
 
@@ -281,13 +296,21 @@ class XtProducts:
         XtC = X.T @ state.C
         return cls(X=X, XtY=X.T @ Y, XtN=np.zeros_like(XtC), XtC=XtC, XtLam=XtC)
 
-    def change_noise(self, N_new: np.ndarray, N_old: np.ndarray) -> None:
-        """X^T N + X^T (N_new - N_old), over the rows where N changed, as a new X^T N."""
-        changed = np.flatnonzero(N_new != N_old)
-        if changed.size:
-            # the changed rows, ascending; np.unique would import numpy.ma (about 12 ms, once per process)
-            rows = np.flatnonzero(np.bincount(changed // N_new.shape[1]))
-            self.XtN = self.XtN + self.X[rows].T @ (N_new[rows] - N_old[rows])
+    def add_noise(self, changes) -> None:
+        """X^T N plus the blocks' changes (_noise_change; None where a block's N kept its value),
+        in block order."""
+        for change in changes:
+            if change is not None:
+                self.XtN = self.XtN + change
+
+    def c_step(self, mu: float, M) -> None:
+        """X^T C = (X^T G) M, X^T G by the pull's formula from the products (M None: C = G)."""
+        XtG = _pull(self.XtY, self.XtN, self.XtLam, self.XtXW, mu)
+        self.XtC = XtG if M is None else XtG @ M
+
+    def ascent(self, mu: float) -> None:
+        """The multiplier step X^T Lam += mu (X^T X W - X^T C), with the pre-update mu."""
+        self.XtLam = self.XtLam + mu * (self.XtXW - self.XtC)
 
 
 @dataclass
@@ -350,7 +373,10 @@ def prefix_chains(params_list) -> list[list[int]]:
     return [[i for _, i in sorted(chain)] for chain in chains.values()]
 
 
-def _c_shift_amount(params: SchirnParams, mu: float) -> float:
+def _c_shift(params: SchirnParams, mu: float) -> float:
+    """The C step's singular-value shift at penalty mu; 0 for no-rank, whose C is G."""
+    if params.variant is Variant.NO_RANK:
+        return 0.0
     if params.c_shift == "paper":
         return 2.0 * params.beta / (2.0 + mu)
     return params.beta / (2.0 + mu)
@@ -368,41 +394,28 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _row_cuts(n: int, count: int) -> list[int]:
-    """Where _Rows(n, count) starts its blocks after the first."""
-    return sorted({n * i // count // _ROW_ALIGN * _ROW_ALIGN for i in range(1, count)} - {0})
-
-
-def _fit_block_count(n: int, d: int, l: int) -> int:
-    """fit's row blocks: the most, up to one per usable CPU, whose smallest block holds at least
-    _ROW_FLOOR entries of the n x l iterates and more than _SMALL_GEMM multiply-adds in X W and
-    G M; one if no count of two or more does. The BLAS thread count plays no part: with BLAS on
-    every CPU, two blocks and one measured the same."""
-    for count in range(min(_usable_cpus(), n), 1, -1):
-        bounds = [0, *_row_cuts(n, count), n]
-        least = min(b - a for a, b in zip(bounds, bounds[1:]))
-        if least * l >= _ROW_FLOOR and least * l * min(d, l) > _SMALL_GEMM:
-            return count
-    return 1
+def _row_blocks(n: int, d: int, l: int) -> list[slice]:
+    """fit's row blocks, from the shape alone: n l // _BLOCK_ENTRIES blocks of about equal size,
+    each starting at a multiple of _ROW_ALIGN rows; one block below 2 * _BLOCK_ENTRIES entries of
+    the n x l iterates, and on the dual (d > n) and wide (l > n) routes."""
+    count = n * l // _BLOCK_ENTRIES if d <= n and l <= n else 1
+    cuts = sorted({n * i // count // _ROW_ALIGN * _ROW_ALIGN for i in range(1, count)} - {0})
+    bounds = [0, *cuts, n]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 class _Rows:
-    """Blocks of rows of the n x l iterates, and the threads that run them.
+    """Row blocks and the threads that run them: the calling thread and a pool of ``threads`` - 1
+    helpers, fewer if there are fewer blocks, none for one. Leaving the context shuts the pool down."""
 
-    ``count`` blocks of n rows, of equal size up to _ROW_ALIGN rows, since each starts at a
-    multiple of _ROW_ALIGN; so there may be fewer (one for n < 2 * _ROW_ALIGN). The calling
-    thread runs the first block and a pool thread each other one. Leaving the context shuts
-    the pool down.
-    """
-
-    def __init__(self, n: int = 0, count: int = 1):
-        cuts = _row_cuts(n, count)
-        self.blocks = [slice(a, b) for a, b in zip([0, *cuts], [*cuts, n])] if cuts else [slice(None)]
+    def __init__(self, blocks: list[slice], threads: int = 1):
+        self.blocks = blocks
+        self._helpers = min(threads, len(blocks)) - 1
         self._pool = None
-        if cuts:
+        if self._helpers:
             from concurrent.futures import ThreadPoolExecutor  # imported here: about 10 ms, paid by blocked fits only
 
-            self._pool = ThreadPoolExecutor(len(cuts))
+            self._pool = ThreadPoolExecutor(self._helpers)
 
     def __enter__(self) -> "_Rows":
         return self
@@ -411,32 +424,55 @@ class _Rows:
         if self._pool is not None:
             self._pool.shutdown()
 
-    def build(self, step, shape, *arrays) -> np.ndarray:
-        """A new array of ``shape`` whose rows in each block ``step(out, *blocks)`` writes into ``out``,
-        a view of those rows, from ``blocks``, the same rows of each of ``arrays``.
+    def run(self, kernel, first=None) -> tuple[list, object]:
+        """([kernel(rows) for rows in self.blocks], first() or None if not given).
 
-        Every block has finished when this returns or raises; of several errors, the first block's.
+        The helpers start on the blocks at once; the calling thread runs ``first``, then takes
+        blocks too, each thread the next block not yet taken. No block is running when this
+        returns or raises; an error of ``first`` wins, then that of the first block that raised.
         """
-        out = np.empty(shape)
-        first, *others = self.blocks
-        futures = [self._pool.submit(step, out[r], *(a[r] for a in arrays)) for r in others]
+        if self._pool is None:
+            value = None if first is None else first()
+            return [kernel(rows) for rows in self.blocks], value
+        results = [None] * len(self.blocks)
+        errors = [None] * len(self.blocks)
+        todo = iter(range(len(self.blocks)))
+        lock = threading.Lock()
+
+        def take():
+            while True:
+                with lock:
+                    b = next(todo, None)
+                if b is None:
+                    return
+                try:
+                    results[b] = kernel(self.blocks[b])
+                except Exception as exc:
+                    errors[b] = exc
+
+        helpers = [self._pool.submit(take) for _ in range(self._helpers)]
         try:
-            step(out[first], *(a[first] for a in arrays))
+            value = None if first is None else first()
+            take()
         finally:
-            errors = [future.exception() for future in futures]  # waits for each block
+            for helper in helpers:
+                helper.result()
         for error in errors:
             if error is not None:
                 raise error
-        return out
-
-
-_ONE_BLOCK = _Rows()
+        return results, value
 
 
 def _sym_gram(X: np.ndarray, dual: bool) -> np.ndarray:
     """X^T X (X X^T when ``dual``), made exactly symmetric."""
     gram = X @ X.T if dual else X.T @ X
     return (gram + gram.T) / 2.0
+
+
+def _sqnorm(A: np.ndarray) -> float:
+    """||A||_F^2 as np.linalg.norm forms it before its square root: one dot product of the entries."""
+    a = A.ravel()
+    return float(a.dot(a))
 
 
 def update_w(state: SolverState, X: np.ndarray, params: SchirnParams, eig=None, dual=False,
@@ -467,45 +503,62 @@ def update_w(state: SolverState, X: np.ndarray, params: SchirnParams, eig=None, 
     return eig.Q @ Z
 
 
-def update_n(state: SolverState, Y: np.ndarray, params: SchirnParams, Xt=None, rows=_ONE_BLOCK) -> np.ndarray:
+def _noise_step(Y, C, half: float, out: np.ndarray) -> np.ndarray:
+    """The N step in ``out``: 1 where Y - C > ``half`` (alpha/2) on a candidate (Y = 1), else 0.
+    shrink(Y - C, alpha/2) > 0 exactly where Y - C > alpha/2; N <= Y keeps the candidates."""
+    noisy = np.subtract(Y, C, out=out) > half
+    noisy &= Y == 1.0
+    np.copyto(out, noisy)
+    return out
+
+
+def _noise_change(X, N_new, N_old) -> np.ndarray | None:
+    """X^T (N_new - N_old) over the rows where N changed; None if none did."""
+    changed = np.flatnonzero(N_new != N_old)
+    if not changed.size:
+        return None
+    # the changed rows, ascending; np.unique would import numpy.ma (about 12 ms, once per process)
+    rows = np.flatnonzero(np.bincount(changed // N_new.shape[1]))
+    return X[rows].T @ (N_new[rows] - N_old[rows])
+
+
+def update_n(state: SolverState, Y: np.ndarray, params: SchirnParams, Xt=None) -> np.ndarray:
     """One exact proximal step for the noise matrix.
 
     Soft-threshold M = Y - C by alpha/2, map positive survivors to 1, then
     clip to the candidate set; computed as the single comparison
     M > alpha/2 on the candidate entries. Under the no-sparsity variant N
     stays zero. ``Xt`` is optional XtProducts whose X^T N is kept in step.
-    ``rows`` (_Rows) runs the step over row blocks.
     """
-    if params.variant is Variant.NO_SPARSITY:
-        N = np.zeros_like(Y)
-    else:
-        half = params.alpha / 2.0
-
-        def step(out, Y, C):
-            # shrink(Y - C, alpha/2) > 0 exactly where Y - C > alpha/2; N <= Y keeps the candidates
-            noisy = Y - C > half
-            noisy &= Y == 1.0
-            np.copyto(out, noisy)
-
-        N = rows.build(step, Y.shape, Y, state.C)
+    N = np.zeros(Y.shape)
+    if params.variant is not Variant.NO_SPARSITY:
+        _noise_step(Y, state.C, params.alpha / 2.0, out=N)
     if Xt is not None:
-        Xt.change_noise(N, state.N)
+        Xt.add_noise([_noise_change(Xt.X, N, state.N)])
     return N
 
 
-def _pull(Y, N, Lam, XW, mu: float, out=None) -> np.ndarray:
-    """G = (2Y - 2N + Lam + mu XW) / (2 + mu), in ``out`` if given; linear, so also X^T G from the
-    X^T products. The operations are those of the formula, in its order."""
-    G = np.multiply(Y, 2.0, out=out)
-    G -= 2.0 * N
+def _pull(Y, N, Lam, XW, mu: float, out=None, tmp=None) -> np.ndarray:
+    """G = (2Y - 2N + Lam + mu XW) / (2 + mu), in ``out`` if given, with ``tmp`` as scratch if given;
+    linear, so also X^T G from the X^T products. The operations are those of the formula, in its
+    order, but for 2Y - 2N formed as 2 (Y - N): doubling is exact, so the two agree bit for bit."""
+    G = np.subtract(Y, N, out=out)
+    G *= 2.0
     G += Lam
-    G += mu * XW
+    G += np.multiply(XW, mu, out=tmp)
     G /= 2.0 + mu
     return G
 
 
+def _gram_part(G: np.ndarray, wide: bool, tmp=None) -> tuple:
+    """(max |G|, the Gram matrix of G 2^-k), with k such that max |G| 2^-k lies in [0.5, 1): a row
+    block's part of the C step's Gram matrix (_spectral_map); ``tmp`` (G's shape) is scratch."""
+    top = max(G.max(), -G.min())
+    return top, _sym_gram(np.ldexp(G, -np.frexp(top)[1], out=tmp), dual=wide)
+
+
 def update_c(state: SolverState, X: np.ndarray, Y: np.ndarray, params: SchirnParams, XW=None,
-             Xt=None, rows=_ONE_BLOCK) -> np.ndarray:
+             Xt=None) -> np.ndarray:
     """Singular-value shift update of the relaxed prediction matrix.
 
     The quadratic part pulls C toward G = (2Y - 2N + Lam + mu XW) / (2 + mu);
@@ -547,32 +600,34 @@ def update_c(state: SolverState, X: np.ndarray, Y: np.ndarray, params: SchirnPar
     Inf in G raises ValueError, detected on the small Gram matrix.
 
     ``Xt`` is optional XtProducts (l <= n only): Xt.XtC is then set to
-    X^T C = (X^T G) M, with X^T G formed from the X^T products. ``rows``
-    (_Rows) runs the pull and C = G M over row blocks.
+    X^T C = (X^T G) M, with X^T G formed from the X^T products.
     """
     mu = state.mu
     if XW is None:
         XW = X @ state.W
-    G = rows.build(lambda out, Y, N, Lam, XW: _pull(Y, N, Lam, XW, mu, out=out), Y.shape, Y, state.N, state.Lam, XW)
-    M = _spectral_map(G, params, mu)
+    G = _pull(Y, state.N, state.Lam, XW, mu)
+    wide = G.shape[1] > G.shape[0]
+    shift = _c_shift(params, mu)
+    M = _spectral_map([_gram_part(G, wide)], G, params, shift) if shift else None
     if Xt is not None:
-        XtG = _pull(Xt.XtY, Xt.XtN, Xt.XtLam, Xt.XtXW, mu)
-        Xt.XtC = XtG if M is None else XtG @ M
+        Xt.c_step(mu, M)
     if M is None:
         return G
-    if G.shape[1] > G.shape[0]:
-        return M @ G
-    return rows.build(lambda out, G: np.matmul(G, M, out=out), G.shape, G)
+    return M @ G if wide else G @ M
 
 
-def _spectral_map(G: np.ndarray, params: SchirnParams, mu: float):
-    """The C step's map: C = G M (M @ G when G is wide); None when C = G."""
-    shift = _c_shift_amount(params, mu)
-    if params.variant is Variant.NO_RANK or shift == 0.0:
-        return None
+def _spectral_map(parts, G: np.ndarray, params: SchirnParams, shift: float) -> np.ndarray:
+    """The C step's map M, C = G M (M G when G is wide), from the _gram_part of each row block of G:
+    each part is brought to the power of two of the largest block's and they are summed in block
+    order; for one block that is its Gram matrix as it stands."""
     wide = G.shape[1] > G.shape[0]
-    _, k = np.frexp(max(G.max(), -G.min()))
-    gram = _sym_gram(np.ldexp(G, -k), dual=wide)
+    k = np.frexp(max(top for top, _ in parts))[1]
+    gram = None
+    for top, part in parts:
+        k_part = np.frexp(top)[1]
+        if k_part != k:
+            part = np.ldexp(part, 2 * (k_part - k))
+        gram = part if gram is None else gram + part
     # symmetric by construction, so one finiteness check stands in for sym_eig's scans
     if not np.isfinite(gram).all():
         raise ValueError("matrix contains NaN or Inf entries")
@@ -592,28 +647,48 @@ def _spectral_map(G: np.ndarray, params: SchirnParams, mu: float):
     return (V * (f / s)) @ V.T
 
 
+def _ascent(XW, C, Lam, mu: float, out=None, gap: bool = False) -> tuple[np.ndarray, float | None]:
+    """(Lam + mu (XW - C), in ``out`` if given; with ``gap``, ||XW - C||_F^2, else None)."""
+    step = np.subtract(XW, C, out=out)
+    sqnorm = _sqnorm(step) if gap else None
+    step *= mu
+    step += Lam
+    return step, sqnorm
+
+
 def update_lagrange(state: SolverState, X: np.ndarray, params: SchirnParams, XW=None,
-                    Xt=None, rows=_ONE_BLOCK) -> tuple[np.ndarray, float]:
+                    Xt=None) -> tuple[np.ndarray, float]:
     """Multiplier ascent with the pre-update mu, then the geometric mu step.
 
     ``XW`` is an optional precomputed X @ state.W. ``Xt`` is optional
-    XtProducts whose X^T Lam takes the same step. ``rows`` (_Rows) runs the
-    ascent over row blocks.
+    XtProducts whose X^T Lam takes the same step.
     """
     if XW is None:
         XW = X @ state.W
-    mu = state.mu
-
-    def step(out, XW, C, Lam):
-        np.subtract(XW, C, out=out)
-        out *= mu
-        out += Lam
-
-    new_lam = rows.build(step, state.Lam.shape, XW, state.C, state.Lam)
+    new_lam, _ = _ascent(XW, state.C, state.Lam, state.mu)
     if Xt is not None:
-        Xt.XtLam = Xt.XtLam + state.mu * (Xt.XtXW - Xt.XtC)
-    new_mu = min(params.mu_max, params.rho * state.mu)
-    return new_lam, new_mu
+        Xt.ascent(state.mu)
+    return new_lam, min(params.mu_max, params.rho * state.mu)
+
+
+def _misfit(XW, Y, N, out=None) -> float:
+    """||XW - (Y - N)||_F^2, with ``out`` (XW's shape) as scratch if given."""
+    R = np.subtract(Y, N, out=out)
+    return _sqnorm(np.subtract(XW, R, out=R))
+
+
+def _rank_term(params: SchirnParams, W, XW, eig) -> float:
+    """The objective's nuclear term, +-beta ||XW||_* or 0 by the variant (see objective)."""
+    sign = _nuclear_sign(params.variant)
+    if sign == 0.0:
+        return 0.0
+    P = XW if eig is None else np.sqrt(np.maximum(eig.eigenvalues, 0.0))[:, None] * (eig.Q.T @ W)
+    return sign * params.beta * float(np.linalg.svd(P, compute_uv=False).sum())
+
+
+def _objective_value(params: SchirnParams, misfit: float, noise_l1: float, rank_term: float, W) -> float:
+    """The objective from its terms ||XW - (Y - N)||_F^2, ||N||_1 and the nuclear term."""
+    return misfit + params.alpha * noise_l1 + rank_term + params.lam * _sqnorm(W)
 
 
 def objective(state: SolverState, X: np.ndarray, Y: np.ndarray, params: SchirnParams, XW=None, eig=None) -> float:
@@ -632,15 +707,8 @@ def objective(state: SolverState, X: np.ndarray, Y: np.ndarray, params: SchirnPa
     """
     if XW is None:
         XW = X @ state.W
-    fit_term = float(np.linalg.norm(XW - (Y - state.N), "fro") ** 2)
-    sparsity_term = params.alpha * float(np.abs(state.N).sum())
-    ridge_term = params.lam * float(np.linalg.norm(state.W, "fro") ** 2)
-    sign = _nuclear_sign(params.variant)
-    rank_term = 0.0
-    if sign != 0.0:
-        P = XW if eig is None else np.sqrt(np.maximum(eig.eigenvalues, 0.0))[:, None] * (eig.Q.T @ state.W)
-        rank_term = sign * params.beta * float(np.linalg.svd(P, compute_uv=False).sum())
-    return fit_term + sparsity_term + rank_term + ridge_term
+    return _objective_value(params, _misfit(XW, Y, state.N), float(np.abs(state.N).sum()),
+                            _rank_term(params, state.W, XW, eig), state.W)
 
 
 def fit(ds, params: SchirnParams, trace: str = "residual") -> Model:
@@ -656,9 +724,7 @@ def fit(ds, params: SchirnParams, trace: str = "residual") -> Model:
     if trace not in TRACE_LEVELS:
         raise ValueError(f"trace must be one of {TRACE_LEVELS}, got {trace!r}")
     X, Y = _training_arrays(ds)
-    n, d = X.shape
-    with _Rows(n, _fit_block_count(n, d, Y.shape[1])) as rows:
-        return _fit(X, Y, params, trace == "residual", rows=rows)[0]
+    return _fit(X, Y, params, trace == "residual", threads=_usable_cpus())[0]
 
 
 def fit_chain(ds, params_list) -> list[Model]:
@@ -701,46 +767,100 @@ def _start(X, Y, params: SchirnParams) -> _Branch:
     return _Branch(_eigh(gram), state, XtProducts.start(X, Y, state) if not dual and l <= n else None)
 
 
-def _fit(X, Y, params: SchirnParams, traced: bool, start: _Branch | None = None,
-         keep: bool = False, rows: _Rows = _ONE_BLOCK) -> tuple[Model, _Branch | None]:
+def _fit(X, Y, params: SchirnParams, traced: bool, threads: int = 1, start: _Branch | None = None,
+         keep: bool = False) -> tuple[Model, _Branch | None]:
     """The ALM loop of fit and fit_chain, from ``start`` (a fresh fit's _start when None), whose
-    state and X^T products it takes over. Returns the model and, with ``keep``, the _Branch
-    before its last iteration with N = 0 (None if no iteration ran): a fit whose zero-noise
-    prefix repeats this one's may start there. ``rows`` runs the row-local steps in row blocks.
+    state, arrays and X^T products it takes over, with up to ``threads`` threads on the row blocks
+    (module docstring). Returns the model and, with ``keep``, the _Branch before its last
+    iteration with N = 0 (None if no iteration ran), which owns its arrays: a fit whose zero-noise
+    prefix repeats this one's may start there.
     """
     n, d = X.shape
     l = Y.shape[1]
-    dual = d > n
+    dual, wide = d > n, l > n
     eig, state, Xt = start or _start(X, Y, params)
+    sparse = params.variant is not Variant.NO_SPARSITY
+    half = params.alpha / 2.0
+    measured = traced or params.tol > 0
+    # the n x l buffers: state.C and state.Lam keep the state before an iteration until it ends,
+    # G, S and L take its pull, new C and new multiplier, and whichever is free serves as scratch
+    XW = np.zeros((n, l))  # X @ W for W = 0: the final rank of a fresh fit that runs no iteration
+    N = state.N
+    G, S, L = np.empty((n, l)), np.empty((n, l)), np.empty((n, l))
     report = FitReport()
     branch = None
-    XW = np.zeros((n, l))  # X @ W for W = 0: the final rank of a fresh fit that runs no iteration
-    for _ in range(state.iter, params.max_iter):
-        if keep and report.first_noise_iter is None:
-            branch = _Branch(eig, replace(state), Xt and replace(Xt))  # before this iteration
-        state.W = W = update_w(state, X, params, eig=eig, dual=dual, Xt=Xt)
-        XW = rows.build(lambda out, X: np.matmul(X, W, out=out), (n, l), X)
-        state.N = update_n(state, Y, params, Xt=Xt, rows=rows)
-        state.C = update_c(state, X, Y, params, XW=XW, Xt=Xt, rows=rows)
-        state.Lam, state.mu = update_lagrange(state, X, params, XW=XW, Xt=Xt, rows=rows)
-        state.iter += 1
-        if report.first_noise_iter is None and state.N.any():
-            report.first_noise_iter = state.iter
+    with _Rows(_row_blocks(n, d, l), threads) as rows:
+        for _ in range(state.iter, params.max_iter):
+            if keep and report.first_noise_iter is None:
+                branch = _Branch(eig, replace(state), Xt and replace(Xt))  # before this iteration
+            state.W = W = update_w(state, X, params, eig=eig, dual=dual, Xt=Xt)
+            C, Lam, mu = state.C, state.Lam, state.mu
+            shift = _c_shift(params, mu)
+            watch = sparse and report.first_noise_iter is None
 
-        if traced:
-            report.objective_trace.append(objective(state, X, Y, params, XW=XW, eig=None if dual else eig))
-        if traced or params.tol > 0:
-            residual = float(
-                np.linalg.norm(XW - state.C, "fro") / max(1.0, np.linalg.norm(state.C, "fro"))
-            )
+            def phase_a(r):
+                # X W, the N step, the pull, and the block's parts of X^T N's change and of G^T G
+                np.matmul(X[r], W, out=XW[r])
+                change = None
+                if sparse:
+                    N_new = _noise_step(Y[r], C[r], half, out=G[r])
+                    if Xt is not None:
+                        change = _noise_change(X[r], N_new, N[r])
+                    if Xt is None or change is not None:  # N may have changed
+                        np.copyto(N[r], N_new)
+                _pull(Y[r], N[r], Lam[r], XW[r], mu, out=G[r], tmp=S[r])
+                return change, watch and N[r].any(), _gram_part(G[r], wide, tmp=S[r]) if shift else None
+
+            changes, noisy, parts = zip(*rows.run(phase_a)[0])
+            M = _spectral_map(parts, G, params, shift) if shift else None
+            C_new, free = (G, S) if M is None else (S, G)
+
+            def phase_b(r):
+                # C = G M, the multiplier step, and the block's parts of the residual and the objective
+                if M is not None and wide:  # one block
+                    np.matmul(M, G, out=C_new)
+                elif M is not None:
+                    np.matmul(G[r], M, out=C_new[r])
+                _, gap = _ascent(XW[r], C_new[r], Lam[r], mu, out=L[r], gap=measured)
+                if not measured:
+                    return 0.0, 0.0, 0.0, 0.0
+                if not traced:
+                    return gap, _sqnorm(C_new[r]), 0.0, 0.0
+                return gap, _sqnorm(C_new[r]), _misfit(XW[r], Y[r], N[r], out=free[r]), float(N[r].sum())
+
+            def beside():
+                # the d x l work phase B does not need: the X^T products and the objective's nuclear term
+                if Xt is not None:
+                    Xt.add_noise(changes)
+                    Xt.c_step(mu, M)
+                    Xt.ascent(mu)
+                return _rank_term(params, W, XW, None if dual else eig) if traced else None
+
+            parts, rank_term = rows.run(phase_b, first=beside)
+            gap, size, misfit, noise_l1 = (sum(part) for part in zip(*parts))  # in block order
+            state.C, G, S = C_new, C, free
+            state.Lam, L = L, Lam
+            state.mu = min(params.mu_max, params.rho * mu)
+            state.iter += 1
+            if watch and any(noisy):
+                report.first_noise_iter = state.iter
+                if keep:  # later iterations reuse the buffers of the state before this one
+                    branch.state.C, branch.state.Lam = C.copy(), Lam.copy()
+
             if traced:
-                report.primal_residual_trace.append(residual)
-            if params.tol > 0 and residual <= params.tol:
-                break
+                report.objective_trace.append(_objective_value(params, misfit, noise_l1, rank_term, W))
+            if measured:
+                residual = math.sqrt(gap) / max(1.0, math.sqrt(size))
+                if traced:
+                    report.primal_residual_trace.append(residual)
+                if params.tol > 0 and residual <= params.tol:
+                    break
 
+    if branch is not None:
+        branch.state.N = np.zeros((n, l))  # N = 0 before a noise-free iteration; this fit keeps its own
     report.iterations_run = state.iter
     report.final_rank_XW = numerical_rank(XW)
-    return Model(W=state.W, params=params, report=report, noise=state.N), branch
+    return Model(W=state.W, params=params, report=report, noise=N), branch
 
 
 def predict_scores(model: Model, X_test) -> np.ndarray:

@@ -724,9 +724,21 @@ def reference_fit(ds, params):
     return state.W, state.N, np.array(objectives), np.array(residuals)
 
 
+def assert_matches_reference(model, ds, params):
+    """N as reference_fit's, and W and both traces within 1e-10 relative of its."""
+    W, N, objectives, residuals = reference_fit(ds, params)
+    if params.variant is not Variant.NO_SPARSITY:
+        assert N.any()  # noise enters, so equal N is a real check
+    assert np.array_equal(model.noise, N)
+    assert np.linalg.norm(model.W - W) <= 1e-10 * np.linalg.norm(W)
+    for trace, ref in [(model.report.objective_trace, objectives),
+                       (model.report.primal_residual_trace, residuals)]:
+        assert np.all(np.abs(np.array(trace) - ref) <= 1e-10 * np.abs(ref))
+
+
 class TestFitMatchesReferenceLoop:
     """fit (one X @ W per iteration, Gram-eigh C step, the nuclear norm from the W step's
-    eigenpairs, no QR of X) against reference_fit."""
+    eigenpairs, no QR of X, and on row blocks the blocked sums) against reference_fit."""
 
     @pytest.mark.parametrize("shape", [(40, 6, 5), (20, 50, 5), (8, 4, 12)],
                              ids=["d<n", "d>n", "l>n"])
@@ -739,15 +751,18 @@ class TestFitMatchesReferenceLoop:
             raise AssertionError("fit factors X a second time")
 
         monkeypatch.setattr(np.linalg, "qr", no_qr)
-        model = fit(ds, params)
-        W, N, objectives, residuals = reference_fit(ds, params)
-        if variant is not Variant.NO_SPARSITY:
-            assert N.any()  # noise enters, so equal N is a real check
-        assert np.array_equal(model.noise, N)
-        assert np.linalg.norm(model.W - W) <= 1e-10 * np.linalg.norm(W)
-        for trace, ref in [(model.report.objective_trace, objectives),
-                           (model.report.primal_residual_trace, residuals)]:
-            assert np.all(np.abs(np.array(trace) - ref) <= 1e-10 * np.abs(ref))
+        assert_matches_reference(fit(ds, params), ds, params)
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_same_iterates_on_row_blocks(self, monkeypatch, variant):
+        # five 48-row blocks (a lowered _BLOCK_ENTRIES) on three threads: X^T N, G^T G and the
+        # traces' norms are sums over the blocks
+        monkeypatch.setattr(solver, "_BLOCK_ENTRIES", 256)
+        monkeypatch.setattr(solver, "_usable_cpus", lambda: 3)
+        assert len(solver._row_blocks(240, 12, 8)) == 5
+        ds, _ = make_synth(240, 12, 8, r=1, seed=0)
+        params = default_params(alpha=0.5, beta=0.5, lam=10.0, variant=variant)
+        assert_matches_reference(fit(ds, params), ds, params)
 
     @pytest.mark.parametrize("shape, seed", [((40, 6, 5), 0), ((60, 10, 8), 1), ((120, 20, 10), 0)],
                              ids=["40x6x5", "60x10x8", "120x20x10"])
@@ -771,28 +786,29 @@ class TestXtProducts:
     def test_products_track_iterates_as_noise_flips_both_ways(self, monkeypatch):
         # on this instance N gains entries from iteration ~40 and loses some
         # after ~80, so the row update of X^T N runs in both directions
+        # the products are compared with their iterates at the start of each iteration, where the
+        # W step reads them and X^T X W is that of the previous W
         ds, _ = make_synth(60, 10, 8, r=1, seed=1)
         X = ds.X
         flips = []
         errors = []
-        update_n, update_lagrange = solver.update_n, solver.update_lagrange
+        previous = []
+        update_w = solver.update_w
 
-        def spy_n(state, Y, params, Xt=None, **rows):
-            N = update_n(state, Y, params, Xt=Xt, **rows)
+        def spy_w(state, X_, params, Xt=None, **kwargs):
             assert Xt is not None
-            flips.append(((N > state.N).any(), (N < state.N).any()))
-            return N
+            if previous:
+                N, = previous
+                flips.append(((state.N > N).any(), (state.N < N).any()))
+                products = [(Xt.XtN, state.N), (Xt.XtC, state.C), (Xt.XtLam, state.Lam),
+                            (Xt.XtXW, X @ state.W), (Xt.XtY, ds.Y)]
+                for kept, iterate in products:
+                    direct = X.T @ iterate
+                    errors.append(np.linalg.norm(kept - direct) / max(1.0, np.linalg.norm(direct)))
+            previous[:] = [state.N.copy()]  # fit updates N in place
+            return update_w(state, X_, params, Xt=Xt, **kwargs)
 
-        def spy_lagrange(state, X_, params, XW=None, Xt=None, **rows):
-            Lam, mu = update_lagrange(state, X_, params, XW=XW, Xt=Xt, **rows)
-            for kept, iterate in [(Xt.XtN, state.N), (Xt.XtC, state.C), (Xt.XtLam, Lam),
-                                  (Xt.XtXW, X @ state.W), (Xt.XtY, ds.Y)]:
-                direct = X.T @ iterate
-                errors.append(np.linalg.norm(kept - direct) / max(1.0, np.linalg.norm(direct)))
-            return Lam, mu
-
-        monkeypatch.setattr(solver, "update_n", spy_n)
-        monkeypatch.setattr(solver, "update_lagrange", spy_lagrange)
+        monkeypatch.setattr(solver, "update_w", spy_w)
         fit(ds, default_params(alpha=0.5, beta=0.5, lam=10.0))
         assert sum(gained for gained, _ in flips) >= 2
         assert sum(lost for _, lost in flips) >= 2
@@ -1054,124 +1070,107 @@ class TestModelSerialization:
         assert loaded.noise is None
 
 
-_BLOCK_ROUTES = pytest.mark.parametrize("shape", [(200, 30, 12), (110, 150, 8), (100, 12, 130), (6000, 40, 50)],
-                                        ids=["primal", "dual-w", "wide-c", "above-the-floor"])
+# shapes with more than one row block: four blocks of fit's own size at fit-tall's width, and two
+# small primal shapes cut into 48-row blocks by a lowered _BLOCK_ENTRIES (the last one uneven)
+_MULTI_BLOCK = pytest.mark.parametrize("shape, entries", [((6000, 40, 50), None), ((300, 30, 12), 256),
+                                                          ((250, 20, 16), 256)], ids=["fit-size", "48-row", "uneven"])
 
 
-# fits of the above-the-floor shape on 1, 2 and 3 row blocks, as test_every_block_count_gives_the_same_fit
-# runs its default case, pickled with the threads the interpreter has once numpy has loaded (None
-# without /proc)
-_BLOCKS_IN_A_CHILD = """
+def multi_block(monkeypatch, shape, entries) -> Dataset:
+    if entries is not None:
+        monkeypatch.setattr(solver, "_BLOCK_ENTRIES", entries)
+    assert len(solver._row_blocks(*shape)) > 1
+    return make_synth(*shape, r=1, seed=0)[0]
+
+
+# fits of the fit-size shape with 1, 2 and 3 usable CPUs, pickled with the threads the interpreter
+# has once numpy has loaded (None without /proc)
+_CPUS_IN_A_CHILD = """
 import pickle, sys
 from pathlib import Path
-from schirn import SchirnParams, solver
+from schirn import SchirnParams, fit, solver
 from synthdata import make_synth
 
 status = Path("/proc/self/status")
 threads = int(status.read_text().split("Threads:")[1].split()[0]) if status.is_file() else None
 ds, _ = make_synth(6000, 40, 50, r=1, seed=0)
-X, Y = solver._training_arrays(ds)
 fits = []
-for count in (1, 2, 3):
-    with solver._Rows(6000, count) as rows:
-        fits.append(solver._fit(X, Y, SchirnParams(alpha=0.5, max_iter=4), True, rows=rows)[0])
+for cpus in (1, 2, 3):
+    solver._usable_cpus = lambda: cpus
+    fits.append(fit(ds, SchirnParams(alpha=0.5, max_iter=4)))
 pickle.dump((threads, fits), sys.stdout.buffer)
 """
 
 
 class TestRowBlocks:
-    """Row blocks (solver._Rows) change no bit of a fit, whatever their count."""
+    """fit's row blocks (solver._row_blocks) come from the shape alone and threads take whole
+    blocks (solver._Rows), so the CPU count changes no bit of a fit."""
 
-    @_BLOCK_ROUTES
+    @pytest.mark.parametrize("shape, count", [
+        ((10000, 300, 50), 7),  # fit-tall
+        ((1600, 100, 20), 1), ((160, 30, 12), 1),  # training folds of ablate-mid and grid-small
+        ((6000, 40, 50), 4), ((30000, 5, 10), 4),
+        ((2621, 10, 50), 1), ((2622, 10, 50), 2),  # 131,050 and 131,100 entries, about 2 * 2^16
+        ((100000, 3, 1), 1), ((200000, 3, 1), 3),
+        ((4000, 4001, 50), 1), ((1000, 10, 1001), 1),  # the dual W and the wide C route
+    ], ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else str(v))
+    def test_the_layout_comes_from_the_shape(self, monkeypatch, shape, count):
+        monkeypatch.setattr(solver, "_usable_cpus", lambda: pytest.fail("the layout read the CPU count"))
+        n, _, l = shape
+        blocks = solver._row_blocks(*shape)
+        bounds = [r.start for r in blocks] + [blocks[-1].stop]
+        assert len(blocks) == count
+        assert bounds[0] == 0 and bounds[-1] == n and bounds == sorted(set(bounds))
+        assert all(a % solver._ROW_ALIGN == 0 for a in bounds[:-1])
+        if count > 1:
+            assert min(b - a for a, b in zip(bounds, bounds[1:])) * l >= solver._BLOCK_ENTRIES - solver._ROW_ALIGN * l
+
+    @_MULTI_BLOCK
     @pytest.mark.parametrize("params", [
         default_params(alpha=0.5, max_iter=60), default_params(alpha=0.5, tol=1.5),
         default_params(max_iter=0), default_params(alpha=0.5, max_iter=40, variant=Variant.NO_RANK),
         default_params(alpha=0.5, max_iter=40, variant=Variant.LOW_RANK, c_shift="derived"),
-    ], ids=["default", "tol", "no-iterations", "no-rank", "low-rank"])
-    def test_every_block_count_gives_the_same_fit(self, shape, params):
-        ds, _ = make_synth(*shape, r=1, seed=0)
-        X, Y = solver._training_arrays(ds)
-        n = shape[0]
-        counts = (1, 2, 3, n)
-        if n > 1000:
-            # blocks of fit's size, a few iterations; 48-row blocks would take OpenBLAS's
-            # small-matrix kernel, which sums in another order than the whole product
-            params = replace(params, max_iter=min(params.max_iter, 4))
-            counts = (1, 2, 3)
-        fits, layouts = [], []
-        for count in counts:
-            with solver._Rows(n, count) as rows:
-                layouts.append([(r.start or 0, r.stop) for r in rows.blocks])
-                fits.append(solver._fit(X, Y, params, True, rows=rows)[0])
+        default_params(alpha=0.5, max_iter=40, variant=Variant.NO_SPARSITY),
+    ], ids=["default", "tol", "no-iterations", "no-rank", "low-rank", "no-sparsity"])
+    def test_the_cpu_count_changes_no_bit(self, monkeypatch, shape, entries, params):
+        ds = multi_block(monkeypatch, shape, entries)
+        if entries is None:
+            params = replace(params, max_iter=min(params.max_iter, 8))
+        pools = []
+        rows = solver._Rows
+        monkeypatch.setattr(solver, "_Rows", lambda blocks, threads: pools.append((len(blocks), threads))
+                            or rows(blocks, threads))
+        fits = []
+        for cpus in (1, 2, 3, 4):
+            monkeypatch.setattr(solver, "_usable_cpus", lambda: cpus)
+            fits.append(fit(ds, params))
         for model in fits[1:]:
             assert_same_fit(model, fits[0])
-        if params.max_iter == 60 and n < 1000:
+        assert pools == [(len(solver._row_blocks(*shape)), cpus) for cpus in (1, 2, 3, 4)]
+        if params.max_iter == 60:
             assert fits[0].report.first_noise_iter is not None
-        # blocks start at multiples of _ROW_ALIGN and cover the rows in order
-        assert layouts[0] == [(0, None)]
-        for layout in layouts[1:]:
-            assert [a for a, _ in layout] == sorted({a for a, _ in layout})
-            assert all(a % solver._ROW_ALIGN == 0 for a, _ in layout) and layout[-1][1] == n
-            assert all(b == c for (_, b), (c, _) in zip(layout, layout[1:]))
-        assert len(layouts[-1]) == min(counts[-1], -(-n // solver._ROW_ALIGN))
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    @pytest.mark.parametrize("n", [40, 150])
-    def test_fit_takes_one_block_per_cpu_above_the_floor(self, monkeypatch, cpus, n):
-        # with both floors at nothing, fit uses min(cpus, n * l) blocks, fewer where n is below
-        # two aligned blocks; the model is the one-CPU model
-        ds, _ = make_synth(n, 6, 5, r=1, seed=2)
-        params = default_params(alpha=0.5, max_iter=30)
-        expected = fit(ds, params)
-        monkeypatch.setattr(solver, "_ROW_FLOOR", 1)
-        monkeypatch.setattr(solver, "_SMALL_GEMM", 0)
-        monkeypatch.setattr(solver, "_usable_cpus", lambda: cpus)
-        seen = []
-        inner = solver._fit
-        monkeypatch.setattr(solver, "_fit",
-                            lambda *args, rows: seen.append(len(rows.blocks)) or inner(*args, rows=rows))
-        assert_same_fit(fit(ds, params), expected)
-        assert seen == [min(cpus, -(-n // solver._ROW_ALIGN))]
-
-    @pytest.mark.parametrize("cpus, n, d, l, blocks", [
-        # fit-tall: 2 blocks on 2 CPUs; on 4, 3, as its 2,496-row blocks hold under 2^17 entries
-        (2, 10000, 300, 50, 2), (4, 10000, 300, 50, 3),
-        (2, 2000, 100, 20, 1),  # ablate-mid: below the entry floor
-        (2, 30000, 5, 10, 1),  # above the entry floor, but each block's X W is 748,800 multiply-adds
-        # d, l <= 7 at the two-block boundary: blocks start at multiples of 48 rows, so the first
-        # block of 57,215 rows has 28,560, whose X W is 999,600 multiply-adds; of 57,216, 28,608
-        (2, 57215, 5, 7, 1), (2, 57216, 5, 7, 2),
-        (2, 80063, 7, 5, 1), (2, 80064, 7, 5, 2),  # the same for G M (rows l l)
-        # the first block of 32,831 rows holds 16,368 x 8 = 130,944 entries, 128 under 2^17
-        (2, 32831, 100, 8, 1), (2, 32832, 100, 8, 2),
-    ])
-    def test_blocks_clear_both_floors_after_alignment(self, monkeypatch, cpus, n, d, l, blocks):
-        monkeypatch.setattr(solver, "_usable_cpus", lambda: cpus)
-        assert solver._fit_block_count(n, d, l) == blocks
-
-    @pytest.mark.parametrize("shape", [(57216, 5, 7), (80064, 7, 5)], ids=["x-w", "g-m"])
-    def test_blocks_at_the_small_kernel_boundary_give_the_same_fit(self, shape):
-        # both products of each of the two blocks only just do more than _SMALL_GEMM multiply-adds
-        n, d, l = shape
-        ds, _ = make_synth(n, d, l, r=1, seed=4)
-        X, Y = solver._training_arrays(ds)
-        params = default_params(alpha=0.5, max_iter=3)
-        fits = []
-        for count in (1, 2):
-            with solver._Rows(n, count) as rows:
-                sizes = [(r.stop or n) - (r.start or 0) for r in rows.blocks]
-                fits.append(solver._fit(X, Y, params, True, rows=rows)[0])
-        assert len(sizes) == 2 and solver._SMALL_GEMM < min(sizes) * l * min(d, l) < 1.01 * solver._SMALL_GEMM
-        assert_same_fit(fits[1], fits[0])
+    @_MULTI_BLOCK
+    def test_fit_chain_is_fit_untraced(self, monkeypatch, shape, entries):
+        # fit_chain runs the blocks on one thread, fit on three
+        ds = multi_block(monkeypatch, shape, entries)
+        monkeypatch.setattr(solver, "_usable_cpus", lambda: 3)
+        max_iter = 8 if entries is None else 60
+        params_list = [default_params(alpha=0.5, max_iter=max_iter), default_params(alpha=1.0, max_iter=max_iter),
+                       default_params(alpha=1.0, max_iter=max_iter, variant=Variant.NO_SPARSITY)]
+        models = solver.fit_chain(ds, params_list)
+        assert 1 < models[0].report.first_noise_iter  # the followers branch mid-run
+        for model, params in zip(models, params_list, strict=True):
+            assert_same_fit(model, fit(ds, params, trace="none"))
 
     @pytest.mark.parametrize("blas_threads", [1, 2])
-    def test_block_counts_agree_with_blas_on_one_thread_and_on_two(self, blas_threads):
+    def test_cpu_counts_agree_with_blas_on_one_thread_and_on_two(self, blas_threads):
         # the tests above run on whatever BLAS threads the shell sets; a child interpreter
         # fixes them, in the workers' environment with this directory on PYTHONPATH too
         env = cv._worker_env()
         env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
         env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).parent), env["PYTHONPATH"]])
-        child = subprocess.run([sys.executable, "-c", _BLOCKS_IN_A_CHILD], env=env, stdout=subprocess.PIPE,
+        child = subprocess.run([sys.executable, "-c", _CPUS_IN_A_CHILD], env=env, stdout=subprocess.PIPE,
                                check=True, timeout=300)
         threads, fits = pickle.loads(child.stdout)
         # OpenBLAS starts its threads as it loads, at most one per CPU
@@ -1180,19 +1179,70 @@ class TestRowBlocks:
         for model in fits[1:]:
             assert_same_fit(model, fits[0])
 
-    def test_first_blocks_error_wins_after_every_block_ends(self):
+    @pytest.mark.parametrize("trace", ["residual", "none"])
+    def test_no_allocation_of_n_by_l_size_after_iteration_two(self, monkeypatch, trace):
+        # the n x l iterates live in buffers fit allocates before its first iteration; an
+        # iteration that allocated one more would raise the traced peak above the traced memory
+        # at its start by n l doubles
+        ds, _ = make_synth(6000, 40, 50, r=1, seed=0)
+        n, l = ds.Y.shape
+        assert len(solver._row_blocks(n, 40, l)) > 1
+        monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
+        marks = []
+        update_w = solver.update_w
+
+        def marked(*args, **kwargs):  # at the start of each iteration
+            marks.append(tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+            return update_w(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "update_w", marked)
+        tracemalloc.start()
+        try:
+            model = fit(ds, default_params(alpha=0.5, max_iter=8), trace=trace)
+        finally:
+            tracemalloc.stop()
+        assert model.report.first_noise_iter == 2
+        rises = [peak - start for (start, _), (_, peak) in zip(marks, marks[1:])]  # iterations 1 to 7
+        assert len(rises) == 7
+        assert max(rises[2:]) < n * l * 8
+
+    # on one thread the blocks run in order up to the first error; helpers run every block
+    @pytest.mark.parametrize("threads, ran", [(1, [0]), (3, [0, 48, 96, 144])])
+    def test_first_blocks_error_wins_after_every_block_ends(self, threads, ran):
         ended = []
-        row = np.arange(200)
 
-        def step(out, row):
-            start = int(row[0])
-            ended.append(start)
-            if start in (0, 96):
-                raise ValueError(f"block {start}")
+        def kernel(r):
+            ended.append(r.start)
+            if r.start in (0, 96):
+                raise ValueError(f"block {r.start}")
 
-        with solver._Rows(200, 4) as rows:
+        def fail():
+            raise ValueError("first")
+
+        with solver._Rows([slice(0, 48), slice(48, 96), slice(96, 144), slice(144, 200)], threads) as rows:
             with pytest.raises(ValueError, match="^block 0$"):
-                rows.build(step, (200, 3), row)
-            assert sorted(ended) == [0, 48, 96, 144]
-            out = rows.build(lambda out, row: out.fill(row[0]), (200, 3), row)
-        assert out[:, 0].tolist() == [a // 48 * 48 for a in range(144)] + [144] * 56
+                rows.run(kernel)
+            assert sorted(ended) == ran
+            ended.clear()
+            with pytest.raises(ValueError, match="^first$"):
+                rows.run(kernel, first=fail)
+            # the calling thread takes no block once first fails
+            assert sorted(ended) == (ran if threads > 1 else [])
+            assert rows.run(lambda r: r.stop, first=lambda: "beside") == ([48, 96, 144, 200], "beside")
+
+    def test_many_threads_take_each_block_once(self):
+        # more threads than CPUs, switching often: every block runs once and the results come back
+        # in block order
+        blocks = [slice(i, i + 1) for i in range(200)]
+        taken = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with solver._Rows(blocks, 4 * solver._usable_cpus()) as rows:
+                for _ in range(20):
+                    taken.clear()
+                    assert rows.run(lambda r: taken.append(r.start) or r.start)[0] == list(range(200))
+                    assert sorted(taken) == list(range(200))
+        finally:
+            sys.setswitchinterval(interval)
