@@ -33,8 +33,8 @@ values, and the latter is only d x l, so fit factors X once. The dual route
 (d > n), whose eigendecomposition is of X X^T, takes them from XW itself.
 
 When d <= n and l <= n, the W step works in d x l space: fit keeps four
-products of X^T with the n x l iterates (XtProducts), each maintained by
-the block that changes its iterate:
+products of X^T with the n x l iterates (XtProducts). update_w sets X^T X W;
+the loop's row phases update the others (Row blocks below):
 
     X^T Y     formed once;
     X^T X W   Q diag(e) Q^T W, from the W step's eigendecomposition of X^T X;
@@ -132,7 +132,6 @@ __all__ = [
     "Variant",
     "SchirnParams",
     "SolverState",
-    "XtProducts",
     "FitReport",
     "Model",
     "prefix_chains",
@@ -278,11 +277,11 @@ class SolverState:
 class XtProducts:
     """X^T times the n x l iterates, for the d x l W step (d <= n, l <= n).
 
-    update_w sets XtXW, update_n updates XtN, update_c sets XtC and
-    update_lagrange steps XtLam; see the module docstring.
+    update_w sets XtXW; _fit adds its phase A's changes to XtN and sets XtC
+    and steps XtLam beside phase B (add_noise, c_step, ascent); see the
+    module docstring.
     """
 
-    X: np.ndarray
     XtY: np.ndarray
     XtN: np.ndarray
     XtC: np.ndarray
@@ -294,7 +293,7 @@ class XtProducts:
         """The products at the initial state, where N = 0 and C = Lam; every step rebinds them, none
         writes into them, so XtLam may be XtC."""
         XtC = X.T @ state.C
-        return cls(X=X, XtY=X.T @ Y, XtN=np.zeros_like(XtC), XtC=XtC, XtLam=XtC)
+        return cls(XtY=X.T @ Y, XtN=np.zeros_like(XtC), XtC=XtC, XtLam=XtC)
 
     def add_noise(self, changes) -> None:
         """X^T N plus the blocks' changes (_noise_change; None where a block's N kept its value),
@@ -522,19 +521,17 @@ def _noise_change(X, N_new, N_old) -> np.ndarray | None:
     return X[rows].T @ (N_new[rows] - N_old[rows])
 
 
-def update_n(state: SolverState, Y: np.ndarray, params: SchirnParams, Xt=None) -> np.ndarray:
+def update_n(state: SolverState, Y: np.ndarray, params: SchirnParams) -> np.ndarray:
     """One exact proximal step for the noise matrix.
 
     Soft-threshold M = Y - C by alpha/2, map positive survivors to 1, then
     clip to the candidate set; computed as the single comparison
     M > alpha/2 on the candidate entries. Under the no-sparsity variant N
-    stays zero. ``Xt`` is optional XtProducts whose X^T N is kept in step.
+    stays zero.
     """
     N = np.zeros(Y.shape)
     if params.variant is not Variant.NO_SPARSITY:
         _noise_step(Y, state.C, params.alpha / 2.0, out=N)
-    if Xt is not None:
-        Xt.add_noise([_noise_change(Xt.X, N, state.N)])
     return N
 
 
@@ -557,14 +554,13 @@ def _gram_part(G: np.ndarray, wide: bool, tmp=None) -> tuple:
     return top, _sym_gram(np.ldexp(G, -np.frexp(top)[1], out=tmp), dual=wide)
 
 
-def update_c(state: SolverState, X: np.ndarray, Y: np.ndarray, params: SchirnParams, XW=None,
-             Xt=None) -> np.ndarray:
+def update_c(state: SolverState, X: np.ndarray, Y: np.ndarray, params: SchirnParams) -> np.ndarray:
     """Singular-value shift update of the relaxed prediction matrix.
 
     The quadratic part pulls C toward G = (2Y - 2N + Lam + mu XW) / (2 + mu);
     the rank term inflates (high-rank) or shrinks (low-rank) G's spectrum:
     C = U diag(f(s)) V^T with f(s) = s + shift or max(0, s - shift), where
-    G = U diag(s) V^T. ``XW`` is an optional precomputed X @ state.W.
+    G = U diag(s) V^T.
 
     The spectrum comes from the l x l Gram matrix G^T G = V diag(s^2) V^T
     (the n x n G G^T when l > n), so no n x l SVD is formed:
@@ -598,19 +594,12 @@ def update_c(state: SolverState, X: np.ndarray, Y: np.ndarray, params: SchirnPar
     scaling is exact for every entry that stays in the normal range, so on
     ordinary G the result is bit-for-bit that of the unscaled Gram. NaN or
     Inf in G raises ValueError, detected on the small Gram matrix.
-
-    ``Xt`` is optional XtProducts (l <= n only): Xt.XtC is then set to
-    X^T C = (X^T G) M, with X^T G formed from the X^T products.
     """
     mu = state.mu
-    if XW is None:
-        XW = X @ state.W
-    G = _pull(Y, state.N, state.Lam, XW, mu)
+    G = _pull(Y, state.N, state.Lam, X @ state.W, mu)
     wide = G.shape[1] > G.shape[0]
     shift = _c_shift(params, mu)
     M = _spectral_map([_gram_part(G, wide)], G, params, shift) if shift else None
-    if Xt is not None:
-        Xt.c_step(mu, M)
     if M is None:
         return G
     return M @ G if wide else G @ M
@@ -656,18 +645,9 @@ def _ascent(XW, C, Lam, mu: float, out=None, gap: bool = False) -> tuple[np.ndar
     return step, sqnorm
 
 
-def update_lagrange(state: SolverState, X: np.ndarray, params: SchirnParams, XW=None,
-                    Xt=None) -> tuple[np.ndarray, float]:
-    """Multiplier ascent with the pre-update mu, then the geometric mu step.
-
-    ``XW`` is an optional precomputed X @ state.W. ``Xt`` is optional
-    XtProducts whose X^T Lam takes the same step.
-    """
-    if XW is None:
-        XW = X @ state.W
-    new_lam, _ = _ascent(XW, state.C, state.Lam, state.mu)
-    if Xt is not None:
-        Xt.ascent(state.mu)
+def update_lagrange(state: SolverState, X: np.ndarray, params: SchirnParams) -> tuple[np.ndarray, float]:
+    """Multiplier ascent with the pre-update mu, then the geometric mu step."""
+    new_lam, _ = _ascent(X @ state.W, state.C, state.Lam, state.mu)
     return new_lam, min(params.mu_max, params.rho * state.mu)
 
 
@@ -678,7 +658,16 @@ def _misfit(XW, Y, N, out=None) -> float:
 
 
 def _rank_term(params: SchirnParams, W, XW, eig) -> float:
-    """The objective's nuclear term, +-beta ||XW||_* or 0 by the variant (see objective)."""
+    """The objective's nuclear term, +-beta ||XW||_* or 0 by the variant (see objective).
+
+    ``eig`` is None or an eigendecomposition X^T X = Q diag(e) Q^T (the W
+    step's); ||XW||_* is then the sum of the singular values of the d x l
+    diag(sqrt(e)) Q^T W, with e clamped at zero, else of XW. In X's weak
+    directions sqrt(e) is off by up to about sqrt(eps) ||X||_2 (update_c's
+    Gram-versus-QR trade-off); a W step damps W there by 1 / (mu e + 2 lam),
+    and for its W the sum stayed within 4e-13 of ||XW||_* for cond(X) up to
+    1e10, where a random W with l >= d/2 can be 1e-8 off.
+    """
     sign = _nuclear_sign(params.variant)
     if sign == 0.0:
         return 0.0
@@ -691,24 +680,15 @@ def _objective_value(params: SchirnParams, misfit: float, noise_l1: float, rank_
     return misfit + params.alpha * noise_l1 + rank_term + params.lam * _sqnorm(W)
 
 
-def objective(state: SolverState, X: np.ndarray, Y: np.ndarray, params: SchirnParams, XW=None, eig=None) -> float:
+def objective(state: SolverState, X: np.ndarray, Y: np.ndarray, params: SchirnParams) -> float:
     """Value of the un-augmented objective at the current state.
 
     The nuclear term enters with the variant's sign: negative (maximize) for
     high-rank and no-sparsity, positive for low-rank, absent for no-rank.
-    ``XW`` is an optional precomputed X @ state.W. ``eig`` is an optional
-    eigendecomposition X^T X = Q diag(e) Q^T (the W step's); ||XW||_* is
-    then the sum of the singular values of the d x l diag(sqrt(e)) Q^T W,
-    with e clamped at zero, else of XW. In X's weak directions sqrt(e) is
-    off by up to about sqrt(eps) ||X||_2 (update_c's Gram-versus-QR
-    trade-off); a W step damps W there by 1 / (mu e + 2 lam), and for its W
-    the sum stayed within 4e-13 of ||XW||_* for cond(X) up to 1e10, where
-    a random W with l >= d/2 can be 1e-8 off.
     """
-    if XW is None:
-        XW = X @ state.W
+    XW = X @ state.W
     return _objective_value(params, _misfit(XW, Y, state.N), float(np.abs(state.N).sum()),
-                            _rank_term(params, state.W, XW, eig), state.W)
+                            _rank_term(params, state.W, XW, None), state.W)
 
 
 def fit(ds, params: SchirnParams, trace: str = "residual") -> Model:
@@ -793,6 +773,9 @@ def _fit(X, Y, params: SchirnParams, traced: bool, threads: int = 1, start: _Bra
         for _ in range(state.iter, params.max_iter):
             if keep and report.first_noise_iter is None:
                 branch = _Branch(eig, replace(state), Xt and replace(Xt))  # before this iteration
+            # every route calls update_w once per W step, looked up through the module: tests patch
+            # solver.update_w to count or mark iterations (count_w_steps, test_counted_work, the
+            # tracemalloc test)
             state.W = W = update_w(state, X, params, eig=eig, dual=dual, Xt=Xt)
             C, Lam, mu = state.C, state.Lam, state.mu
             shift = _c_shift(params, mu)

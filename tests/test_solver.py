@@ -526,8 +526,9 @@ class TestObjective:
                              ids=["cond-1", "cond-1e3", "cond-1e6", "cond-1e10", "duplicate-columns"])
     @pytest.mark.parametrize("shape", [(60, 12, 5), (40, 12, 30)], ids=["l<d", "l>d"])
     def test_nuclear_norm_from_the_w_steps_eigenpairs(self, cond, shape):
-        # fit's report takes ||XW||_* from diag(sqrt(e)) Q^T W, with X^T X = Q diag(e) Q^T; here
-        # for a W of the W step, as fit hands on, against the singular values of X W itself
+        # fit's report takes ||XW||_* from diag(sqrt(e)) Q^T W, with X^T X = Q diag(e) Q^T
+        # (_rank_term, as the traced loop calls it); here for a W of the W step, as fit hands on,
+        # against the singular values of X W itself
         n, d, l = shape
         rng = np.random.default_rng(7)
         if cond is None:
@@ -542,12 +543,10 @@ class TestObjective:
             assert eig.eigenvalues.min() < 0.0  # rounding puts null eigenvalues of X^T X below zero too
         state = random_state(rng, n, d, l)
         state.W = update_w(state, X, default_params(), eig=eig)
-        state.N = np.zeros((n, l))
-        XW = X @ state.W
-        expected = np.linalg.svd(XW, compute_uv=False).sum()
-        # with Y = X W, N = 0 and a vanishing ridge weight, the objective is -||XW||_*
-        params = default_params(beta=1.0, lam=1e-300)
-        assert abs(objective(state, X, XW, params, XW=XW, eig=eig) + expected) <= 1e-12 * expected
+        expected = np.linalg.svd(X @ state.W, compute_uv=False).sum()
+        # high-rank with beta = 1 gives -||XW||_*; XW None, so the sum can only come from eig
+        rank_term = solver._rank_term(default_params(beta=1.0), state.W, None, eig)
+        assert abs(rank_term + expected) <= 1e-12 * expected
 
 
 class TestFit:
@@ -823,7 +822,7 @@ class TestXtProducts:
         model = fit(ds, params)
 
         def direct(X, Y, state):
-            return solver.XtProducts(X=X, XtY=X.T @ Y, XtN=X.T @ state.N, XtC=X.T @ state.C, XtLam=X.T @ state.Lam)
+            return solver.XtProducts(XtY=X.T @ Y, XtN=X.T @ state.N, XtC=X.T @ state.C, XtLam=X.T @ state.Lam)
 
         monkeypatch.setattr(solver.XtProducts, "start", direct)
         assert_same_fit(model, fit(ds, params))
