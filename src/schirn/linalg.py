@@ -1,6 +1,6 @@
 """Dense linear-algebra kernels shared by the solver, metrics, and diagnostics.
 
-All kernels validate their inputs on entry (finite, correctly shaped) and
+The public kernels validate their inputs on entry (finite, correctly shaped) and
 raise instead of propagating NaN/Inf. Factorizations are thin wrappers over
 LAPACK via numpy; the contracts they must satisfy (reconstruction and
 residual bounds, rank tolerance) are pinned by the test suite.
@@ -14,7 +14,6 @@ __all__ = [
     "NumericalError",
     "EigResult",
     "as_matrix",
-    "sym_eig",
     "numerical_rank",
 ]
 
@@ -45,23 +44,9 @@ class EigResult:
     eigenvalues: np.ndarray
 
 
-def sym_eig(a) -> EigResult:
-    """Eigendecomposition of a symmetric matrix.
-
-    Rejects asymmetric input (tolerance 1e-10 relative to the largest entry)
-    rather than silently symmetrizing.
-    """
-    A = as_matrix(a)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"sym_eig requires a square matrix, got {A.shape}")
-    tol = 1e-10 * max(1.0, float(np.abs(A).max()))
-    if float(np.abs(A - A.T).max()) > tol:
-        raise ValueError("sym_eig requires a symmetric matrix")
-    return _eigh(A)
-
-
 def _eigh(A: np.ndarray) -> EigResult:
-    """sym_eig without its checks: ``A`` must already be a finite, symmetric float64 matrix."""
+    """Eigendecomposition of ``A``, which must already be a finite, symmetric float64 matrix: the
+    callers form it symmetric and check it for NaN or Inf themselves."""
     try:
         w, Q = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:

@@ -33,8 +33,8 @@ values, and the latter is only d x l, so fit factors X once. The dual route
 (d > n), whose eigendecomposition is of X X^T, takes them from XW itself.
 
 When d <= n and l <= n, the W step works in d x l space: fit keeps four
-products of X^T with the n x l iterates (XtProducts). update_w sets X^T X W;
-the loop's row phases update the others (Row blocks below):
+products of X^T with the n x l iterates (XtProducts). The W step (_w_step)
+sets X^T X W; the loop's row phases update the others (Row blocks below):
 
     X^T Y     formed once;
     X^T X W   Q diag(e) Q^T W, from the W step's eigendecomposition of X^T X;
@@ -102,13 +102,14 @@ which thread ran a block (fixed-order blocked sums are reproducible:
 Demmel and Nguyen, "Parallel reproducible summation", IEEE TC 2015). fit
 runs the blocks on up to one thread per usable CPU, fit_chain on one,
 because its callers already run one fit per CPU; so fit_chain equals
-fit(trace="none") by construction. One block is the public update_* and
-objective composed, bit for bit in W, N and the residual; blocks move W
-and the traces in their last digits only, through the blocked sums. The
+fit(trace="none") by construction. On the dual and wide routes (one
+block) fit is the public update_* composed, bit for bit in W, N and the
+residual; on the d x l route the X^T products, and the blocked sums of
+more blocks, move W and the traces in their last digits only. The
 n x l iterates live in buffers the loop allocates once: after the first
-iteration of the primal route it allocates no n x l array of floats, only
-a block's boolean masks and the indices of entries N changed (the dual W
-step still forms its n-space right-hand side).
+iteration it allocates no n x l array of floats, only a block's boolean
+masks and the indices of entries N changed; the n-space W step of the
+dual and wide routes works in the pull's and the new C's buffers.
 
 Ablation variants: "high-rank" is the full method; "no-rank" drops the
 nuclear term (C = G); "no-sparsity" keeps the high-rank term but freezes
@@ -126,7 +127,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _EPS, EigResult, NumericalError, _eigh, as_matrix, numerical_rank, sym_eig
+from .linalg import _EPS, EigResult, NumericalError, _eigh, as_matrix, numerical_rank
 
 __all__ = [
     "Variant",
@@ -277,7 +278,7 @@ class SolverState:
 class XtProducts:
     """X^T times the n x l iterates, for the d x l W step (d <= n, l <= n).
 
-    update_w sets XtXW; _fit adds its phase A's changes to XtN and sets XtC
+    _w_step sets XtXW; _fit adds its phase A's changes to XtN and sets XtC
     and steps XtLam beside phase B (add_noise, c_step, ascent); see the
     module docstring.
     """
@@ -474,32 +475,45 @@ def _sqnorm(A: np.ndarray) -> float:
     return float(a.dot(a))
 
 
-def update_w(state: SolverState, X: np.ndarray, params: SchirnParams, eig=None, dual=False,
-             Xt=None) -> np.ndarray:
-    """Solve (mu X^T X + 2 lam I) W = mu X^T C - X^T Lam.
+def _factor(X: np.ndarray) -> EigResult:
+    """The W step's eigendecomposition: of X^T X, or of X X^T on the dual route (d > n), the smaller
+    Gram matrix. Raises NumericalError when that Gram matrix overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # finite features can overflow their Gram
+        gram = _sym_gram(X, dual=X.shape[1] > X.shape[0])
+    # symmetric by construction, so one finiteness check is all the checking _eigh needs
+    if not np.isfinite(gram).all():
+        raise NumericalError("the Gram matrix of X overflows")
+    return _eigh(gram)
 
-    ``eig`` is an optional precomputed eigendecomposition of the Gram matrix
-    (X^T X, or X X^T when ``dual``); with it the solve reduces to two dense
-    products and a diagonal scaling, which is what makes the per-iteration
-    mu change cheap. The dual route uses the push-through identity
-    (mu X^T X + 2 lam I)^{-1} X^T = X^T (mu X X^T + 2 lam I)^{-1} and is the
-    right choice when there are more features than samples.
 
-    ``Xt`` is optional XtProducts (primal route only): the right-hand side
-    is then read from Xt.XtC and Xt.XtLam, and Xt.XtXW is set to X^T X W.
-    """
-    if eig is None:
-        eig = sym_eig(_sym_gram(X, dual))
+def update_w(state: SolverState, X: np.ndarray, params: SchirnParams) -> np.ndarray:
+    """Solve (mu X^T X + 2 lam I) W = mu X^T C - X^T Lam through the eigendecomposition of the
+    smaller Gram matrix (_factor): of X X^T when there are more features than samples, with the
+    push-through identity (mu X^T X + 2 lam I)^{-1} X^T = X^T (mu X X^T + 2 lam I)^{-1}. A Gram
+    matrix that overflows raises NumericalError."""
+    return _w_step(state, X, params, _factor(X), dual=X.shape[1] > X.shape[0])
+
+
+def _w_step(state: SolverState, X: np.ndarray, params: SchirnParams, eig: EigResult, dual: bool,
+            Xt: XtProducts | None = None, scratch=(None, None)) -> np.ndarray:
+    """update_w with its eigenpairs ``eig`` given (of X X^T when ``dual``, else of X^T X): two dense
+    products and a diagonal scaling, so the per-iteration mu change is cheap. With ``Xt`` (primal
+    route) the right-hand side comes from Xt.XtC and Xt.XtLam and Xt.XtXW is set to X^T X W; else
+    mu C - Lam is formed in scratch[0] and the dual route's n x l products in scratch[1], then
+    scratch[0] (free n x l buffers, or None to allocate)."""
     denom = state.mu * eig.eigenvalues + 2.0 * params.lam
-    if dual:
-        target = state.mu * state.C - state.Lam
-        return X.T @ (eig.Q @ ((eig.Q.T @ target) / denom[:, None]))
-    if Xt is None:
-        Z = (eig.Q.T @ (X.T @ (state.mu * state.C - state.Lam))) / denom[:, None]
-    else:
+    if Xt is not None:
         Z = (eig.Q.T @ (state.mu * Xt.XtC - Xt.XtLam)) / denom[:, None]
         Xt.XtXW = eig.Q @ (eig.eigenvalues[:, None] * Z)
-    return eig.Q @ Z
+        return eig.Q @ Z
+    target, tmp = scratch
+    target = np.multiply(state.C, state.mu, out=target)
+    target -= state.Lam
+    if not dual:
+        return eig.Q @ ((eig.Q.T @ (X.T @ target)) / denom[:, None])
+    Z = np.matmul(eig.Q.T, target, out=tmp)
+    Z /= denom[:, None]
+    return X.T @ np.matmul(eig.Q, Z, out=target)
 
 
 def _noise_step(Y, C, half: float, out: np.ndarray) -> np.ndarray:
@@ -617,7 +631,7 @@ def _spectral_map(parts, G: np.ndarray, params: SchirnParams, shift: float) -> n
         if k_part != k:
             part = np.ldexp(part, 2 * (k_part - k))
         gram = part if gram is None else gram + part
-    # symmetric by construction, so one finiteness check stands in for sym_eig's scans
+    # symmetric by construction, so one finiteness check is all the checking _eigh needs
     if not np.isfinite(gram).all():
         raise ValueError("matrix contains NaN or Inf entries")
     eig = _eigh(gram)
@@ -736,15 +750,9 @@ def _start(X, Y, params: SchirnParams) -> _Branch:
     """A fresh fit's _Branch: W and N at zero, C and the multiplier at all-ones."""
     n, d = X.shape
     l = Y.shape[1]
-    dual = d > n  # factor the smaller Gram matrix
     state = SolverState(W=np.zeros((d, l)), N=np.zeros((n, l)), C=np.ones((n, l)), Lam=np.ones((n, l)),
                         mu=params.mu0)
-    with np.errstate(over="ignore", invalid="ignore"):  # finite features can overflow their Gram
-        gram = _sym_gram(X, dual)
-    # symmetric by construction, so one finiteness check stands in for sym_eig's scans
-    if not np.isfinite(gram).all():
-        raise NumericalError("the Gram matrix of X overflows")
-    return _Branch(_eigh(gram), state, XtProducts.start(X, Y, state) if not dual and l <= n else None)
+    return _Branch(_factor(X), state, XtProducts.start(X, Y, state) if d <= n and l <= n else None)
 
 
 def _fit(X, Y, params: SchirnParams, traced: bool, threads: int = 1, start: _Branch | None = None,
@@ -773,10 +781,10 @@ def _fit(X, Y, params: SchirnParams, traced: bool, threads: int = 1, start: _Bra
         for _ in range(state.iter, params.max_iter):
             if keep and report.first_noise_iter is None:
                 branch = _Branch(eig, replace(state), Xt and replace(Xt))  # before this iteration
-            # every route calls update_w once per W step, looked up through the module: tests patch
-            # solver.update_w to count or mark iterations (count_w_steps, test_counted_work, the
-            # tracemalloc test)
-            state.W = W = update_w(state, X, params, eig=eig, dual=dual, Xt=Xt)
+            # every route calls _w_step once per W step, looked up through the module: tests patch
+            # solver._w_step to count or mark iterations (count_w_steps, test_counted_work, the
+            # tracemalloc test); G and S are free until phase A
+            state.W = W = _w_step(state, X, params, eig, dual, Xt, scratch=(G, S))
             C, Lam, mu = state.C, state.Lam, state.mu
             shift = _c_shift(params, mu)
             watch = sparse and report.first_noise_iter is None

@@ -31,13 +31,13 @@ def make_synth(n, d, l, r, seed, noise_scale=0.35, rate_lo=0.25, rate_hi=0.45):
 
 
 def count_w_steps(mp) -> list:
-    """Makes ``mp`` (a MonkeyPatch) log each solver.update_w call; returns the log."""
+    """Makes ``mp`` (a MonkeyPatch) log each W step of fit (solver._w_step call); returns the log."""
     calls = []
-    update_w = solver.update_w
+    w_step = solver._w_step
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return update_w(*args, **kwargs)
+        return w_step(*args, **kwargs)
 
-    mp.setattr(solver, "update_w", counted)
+    mp.setattr(solver, "_w_step", counted)
     return calls

@@ -1,3 +1,4 @@
+import inspect
 import os
 import pickle
 import subprocess
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schirn import Dataset, SchirnParams, Variant, cv, fit, load_model, save_model, solver
-from schirn.linalg import NumericalError, numerical_rank, sym_eig
+from schirn.linalg import NumericalError, _eigh, numerical_rank
 from schirn.solver import (
     SolverState,
     binarize,
@@ -125,8 +126,8 @@ class TestUpdateW:
         state = random_state(rng, 20, 6, 4)
         params = default_params()
         gram = X.T @ X
-        eig = sym_eig((gram + gram.T) / 2)
-        assert np.allclose(update_w(state, X, params), update_w(state, X, params, eig=eig))
+        eig = _eigh((gram + gram.T) / 2)
+        assert np.allclose(update_w(state, X, params), solver._w_step(state, X, params, eig, dual=False))
 
     def test_dual_route_matches_primal(self):
         rng = np.random.default_rng(13)
@@ -134,8 +135,8 @@ class TestUpdateW:
             X = rng.standard_normal((n, d))
             state = random_state(rng, n, d, 5)
             params = default_params(lam=float(rng.uniform(0.5, 50.0)))
-            primal = update_w(state, X, params, dual=False)
-            dual = update_w(state, X, params, dual=True)
+            primal = solver._w_step(state, X, params, _eigh(solver._sym_gram(X, dual=False)), dual=False)
+            dual = solver._w_step(state, X, params, _eigh(solver._sym_gram(X, dual=True)), dual=True)
             scale = max(1.0, np.linalg.norm(primal))
             assert np.linalg.norm(primal - dual) <= 1e-10 * scale
 
@@ -146,12 +147,26 @@ class TestUpdateW:
             X = rng.standard_normal((n, d))
             state = random_state(rng, n, d, l)
             params = default_params(lam=float(rng.uniform(0.1, 100.0)))
-            W = update_w(state, X, params, dual=True)
+            W = update_w(state, X, params)  # d > n: the dual route
             A = state.mu * (X.T @ X) + 2.0 * params.lam * np.eye(d)
             B = X.T @ (state.mu * state.C - state.Lam)
             resid = np.linalg.norm(A @ W - B)
             bound = 1e-8 * (np.linalg.norm(A) * np.linalg.norm(W) + np.linalg.norm(B))
             assert resid <= bound
+
+    @pytest.mark.parametrize("n, d", [(6, 3), (3, 6)], ids=["primal", "dual"])
+    def test_gram_overflow_is_a_numerical_error(self, n, d):
+        # finite features whose Gram matrix (X^T X, or X X^T when d > n) overflows, as in fit
+        state = random_state(np.random.default_rng(15), n, d, 2)
+        with pytest.raises(NumericalError, match="^the Gram matrix of X overflows$"):
+            update_w(state, np.full((n, d), 1e160), default_params())
+
+
+@pytest.mark.parametrize("step", [update_w, update_n, update_c, update_lagrange, objective],
+                         ids=lambda f: f.__name__)
+def test_public_steps_take_no_optional_parameter(step):
+    # the one-block references read only their arguments; options of the loop belong to its kernels
+    assert all(p.default is inspect.Parameter.empty for p in inspect.signature(step).parameters.values())
 
 
 class TestUpdateN:
@@ -538,11 +553,11 @@ class TestObjective:
             U, _ = np.linalg.qr(rng.standard_normal((n, d)))
             V, _ = np.linalg.qr(rng.standard_normal((d, d)))
             X = (U * np.geomspace(1.0, 1.0 / cond, d)) @ V.T
-        eig = solver._start(X, np.zeros((n, l)), default_params()).eig
+        eig = solver._factor(X)
         if cond is None:
             assert eig.eigenvalues.min() < 0.0  # rounding puts null eigenvalues of X^T X below zero too
         state = random_state(rng, n, d, l)
-        state.W = update_w(state, X, default_params(), eig=eig)
+        state.W = update_w(state, X, default_params())
         expected = np.linalg.svd(X @ state.W, compute_uv=False).sum()
         # high-rank with beta = 1 gives -||XW||_*; XW None, so the sum can only come from eig
         rank_term = solver._rank_term(default_params(beta=1.0), state.W, None, eig)
@@ -693,14 +708,13 @@ def reference_fit(ds, params):
     X, Y = ds.X, ds.Y
     n, d = X.shape
     l = Y.shape[1]
-    dual = d > n
     state = SolverState(W=np.zeros((d, l)), N=np.zeros((n, l)), C=np.ones((n, l)),
                         Lam=np.ones((n, l)), mu=params.mu0)
     sign = {Variant.HIGH_RANK: -1.0, Variant.NO_SPARSITY: -1.0,
             Variant.LOW_RANK: 1.0, Variant.NO_RANK: 0.0}[params.variant]
     objectives, residuals = [], []
     for _ in range(params.max_iter):
-        state.W = update_w(state, X, params, dual=dual)
+        state.W = update_w(state, X, params)
         state.N = update_n(state, Y, params)
         mu = state.mu
         G = (2.0 * Y - 2.0 * state.N + state.Lam + mu * (X @ state.W)) / (2.0 + mu)
@@ -763,6 +777,27 @@ class TestFitMatchesReferenceLoop:
         params = default_params(alpha=0.5, beta=0.5, lam=10.0, variant=variant)
         assert_matches_reference(fit(ds, params), ds, params)
 
+    @pytest.mark.parametrize("shape", [(20, 50, 5), (8, 4, 12)], ids=["d>n", "l>n"])
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_n_space_routes_compose_the_public_steps_bit_for_bit(self, shape, variant):
+        # one block, and a W step that forms update_w's n-space products in the loop's free buffers
+        ds, _ = make_synth(*shape, r=1, seed=0)
+        X, Y = ds.X, ds.Y
+        params = default_params(alpha=0.5, beta=0.5, lam=10.0, variant=variant)
+        state = SolverState(W=np.zeros((X.shape[1], Y.shape[1])), N=np.zeros(Y.shape), C=np.ones(Y.shape),
+                            Lam=np.ones(Y.shape), mu=params.mu0)
+        residuals = []
+        for _ in range(params.max_iter):
+            state.W = update_w(state, X, params)
+            state.N = update_n(state, Y, params)
+            state.C = update_c(state, X, Y, params)
+            state.Lam, state.mu = update_lagrange(state, X, params)
+            residuals.append(np.linalg.norm(X @ state.W - state.C) / max(1.0, np.linalg.norm(state.C)))
+        model = fit(ds, params)
+        assert np.array_equal(model.W, state.W)
+        assert np.array_equal(model.noise, state.N)
+        assert model.report.primal_residual_trace == residuals
+
     @pytest.mark.parametrize("shape, seed", [((40, 6, 5), 0), ((60, 10, 8), 1), ((120, 20, 10), 0)],
                              ids=["40x6x5", "60x10x8", "120x20x10"])
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
@@ -792,9 +827,9 @@ class TestXtProducts:
         flips = []
         errors = []
         previous = []
-        update_w = solver.update_w
+        w_step = solver._w_step
 
-        def spy_w(state, X_, params, Xt=None, **kwargs):
+        def spy_w(state, X_, params, eig, dual, Xt=None, **kwargs):
             assert Xt is not None
             if previous:
                 N, = previous
@@ -805,9 +840,9 @@ class TestXtProducts:
                     direct = X.T @ iterate
                     errors.append(np.linalg.norm(kept - direct) / max(1.0, np.linalg.norm(direct)))
             previous[:] = [state.N.copy()]  # fit updates N in place
-            return update_w(state, X_, params, Xt=Xt, **kwargs)
+            return w_step(state, X_, params, eig, dual, Xt, **kwargs)
 
-        monkeypatch.setattr(solver, "update_w", spy_w)
+        monkeypatch.setattr(solver, "_w_step", spy_w)
         fit(ds, default_params(alpha=0.5, beta=0.5, lam=10.0))
         assert sum(gained for gained, _ in flips) >= 2
         assert sum(lost for _, lost in flips) >= 2
@@ -1179,32 +1214,37 @@ class TestRowBlocks:
             assert_same_fit(model, fits[0])
 
     @pytest.mark.parametrize("trace", ["residual", "none"])
-    def test_no_allocation_of_n_by_l_size_after_iteration_two(self, monkeypatch, trace):
-        # the n x l iterates live in buffers fit allocates before its first iteration; an
-        # iteration that allocated one more would raise the traced peak above the traced memory
-        # at its start by n l doubles
-        ds, _ = make_synth(6000, 40, 50, r=1, seed=0)
-        n, l = ds.Y.shape
-        assert len(solver._row_blocks(n, 40, l)) > 1
+    @pytest.mark.parametrize("shape, blocks, first_noise", [((6000, 40, 50), 4, 2), ((300, 400, 40), 1, 5)],
+                             ids=["primal", "dual-w"])
+    def test_no_allocation_of_n_by_l_size_after_iteration_two(self, monkeypatch, shape, blocks, first_noise,
+                                                               trace):
+        # the n x l iterates live in buffers fit allocates before its first iteration, and the dual
+        # W step's n-space products use two of them; an iteration may raise the traced peak above
+        # the traced memory at its start by the W step's new d x l W and the N step's boolean masks
+        # (0.125 n l doubles on two threads), never by an n x l array of doubles
+        ds, _ = make_synth(*shape, r=1, seed=0)
+        n, d = ds.X.shape
+        l = ds.Y.shape[1]
+        assert len(solver._row_blocks(n, d, l)) == blocks
         monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
         marks = []
-        update_w = solver.update_w
+        w_step = solver._w_step
 
         def marked(*args, **kwargs):  # at the start of each iteration
             marks.append(tracemalloc.get_traced_memory())
             tracemalloc.reset_peak()
-            return update_w(*args, **kwargs)
+            return w_step(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "update_w", marked)
+        monkeypatch.setattr(solver, "_w_step", marked)
         tracemalloc.start()
         try:
             model = fit(ds, default_params(alpha=0.5, max_iter=8), trace=trace)
         finally:
             tracemalloc.stop()
-        assert model.report.first_noise_iter == 2
+        assert model.report.first_noise_iter == first_noise
         rises = [peak - start for (start, _), (_, peak) in zip(marks, marks[1:])]  # iterations 1 to 7
         assert len(rises) == 7
-        assert max(rises[2:]) < n * l * 8
+        assert max(rises[2:]) <= (d * l + 0.15 * n * l) * 8
 
     # on one thread the blocks run in order up to the first error; helpers run every block
     @pytest.mark.parametrize("threads, ran", [(1, [0]), (3, [0, 48, 96, 144])])
